@@ -1,15 +1,16 @@
 """CI kernel smoke: the table-driven kernels must engage, win, and agree.
 
-Replays the throughput-benchmark workload three ways per machine —
-table-driven kernel (:mod:`repro.kernels`), legacy packed loop (kernel
-pinned off via :func:`registry.disabled`), and the generic per-access
-object engine — and asserts the two contracts the kernels ship under:
+Replays the throughput-benchmark workload per machine on the
+table-driven kernel (:mod:`repro.kernels`) and on the generic
+per-access object engine (the kernel pinned off via
+:func:`registry.disabled`, which is exactly what a fallback costs),
+and asserts the two contracts the kernels ship under:
 
-* **perf**: the kernel replay is no slower than the legacy packed loop
-  it shadows (it is ~20-40x faster in practice; asserting ``<=`` keeps
-  the check immune to CI noise while still catching an engagement
-  regression, because a silently falling-back kernel run *is* a packed
-  run plus gate overhead).
+* **perf**: the kernel replay is no slower than the generic loop a
+  fallback lands on (it is well over an order of magnitude faster in
+  practice; asserting ``<=`` keeps the check immune to CI noise while
+  still catching an engagement regression, because a silently
+  falling-back kernel run *is* a generic run plus gate overhead).
 * **determinism**: every statistic the kernel run produces — message
   and bus counters with their per-cause/per-kind breakdowns, cache
   event counters, invalidation-size histograms, classification
@@ -88,7 +89,7 @@ def _best(make, trace) -> float:
 
 def _check_machine(name, make, trace, stats_of, *, label=None,
                    require_evictions=False) -> list[str]:
-    """Time kernel vs packed and diff kernel stats against the object
+    """Time kernel vs generic and diff kernel stats against the object
     engine; returns failure descriptions (empty = clean)."""
     problems = []
     label = label or name
@@ -108,15 +109,15 @@ def _check_machine(name, make, trace, stats_of, *, label=None,
     kernel_seconds = _best(make, trace)
 
     with registry.disabled():
-        packed_seconds = _best(make, trace)
+        generic_seconds = _best(make, trace)
 
     print(f"{label}: kernel {kernel_seconds * 1e3:.3f}ms  "
-          f"packed {packed_seconds * 1e3:.3f}ms  "
-          f"({packed_seconds / kernel_seconds:.1f}x)")
-    if kernel_seconds > packed_seconds:
+          f"generic {generic_seconds * 1e3:.3f}ms  "
+          f"({generic_seconds / kernel_seconds:.1f}x)")
+    if kernel_seconds > generic_seconds:
         problems.append(
             f"{label}: kernel replay ({kernel_seconds * 1e3:.3f}ms) slower "
-            f"than the legacy packed loop ({packed_seconds * 1e3:.3f}ms)")
+            f"than the generic loop ({generic_seconds * 1e3:.3f}ms)")
 
     generic_machine = make()
     generic_machine.run(list(trace))  # a plain list has no pack()
@@ -178,7 +179,6 @@ def main() -> int:
     trace = _trace()
     # Resolve the packed columns once so neither timing pays for packing.
     packed = trace.pack()
-    packed.blocks_column(4)
     packed.block_sequences(4)
 
     problems = _check_machine(

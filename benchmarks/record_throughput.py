@@ -2,13 +2,13 @@
 
 Measures the directory- and bus-machine trace-replay benchmark (the same
 workload as ``test_simulator_throughput.py``) on the current tree —
-table-driven kernel, packed fast path (kernels disabled via
-``REPRO_NO_KERNEL``), and generic per-``Access`` path — and writes the
-results to ``BENCH_throughput.json``.
+table-driven kernel and generic per-``Access`` path, the two replay
+paths a machine has — and writes the results to
+``BENCH_throughput.json`` with the host's CPU count beside them.
 
 Two extra sections cover the widened kernel envelope:
 
-* ``*_evicting`` rows re-run the kernel-vs-packed comparison on a
+* ``*_evicting`` rows re-run the kernel-vs-generic comparison on a
   finite 256-byte 4-way cache whose conflict sets force real
   evictions, so the eviction-aware group walks (not the conflict-free
   per-block walks) carry the replay.
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -76,11 +77,6 @@ else:
         split = getattr(packed, "block_sequences", None)
         if split is not None:
             split(4)
-    if representation == "packed":
-        # Pin the legacy packed loop so the row measures it, not the
-        # table-driven kernel (older trees ignore the variable).
-        import os
-        os.environ["REPRO_NO_KERNEL"] = "1"
 
 if machine_kind == "directory":
     from repro.directory.policy import AGGRESSIVE
@@ -241,16 +237,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=OUT_PATH)
     args = parser.parse_args(argv)
 
-    configs = [("directory", "kernel", "base"),
-               ("directory", "packed", "base"),
-               ("directory", "unpacked", "base"),
-               ("bus", "kernel", "base"),
-               ("bus", "packed", "base"),
-               ("bus", "unpacked", "base"),
-               ("directory", "kernel", "evicting"),
-               ("directory", "packed", "evicting"),
-               ("bus", "kernel", "evicting"),
-               ("bus", "packed", "evicting")]
+    configs = [(machine, representation, geometry)
+               for geometry in ("base", "evicting")
+               for machine in ("directory", "bus")
+               for representation in ("kernel", "unpacked")]
 
     previous = {}
     if args.out.exists():
@@ -259,8 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     after = measure(REPO / "src", configs, args.rounds, args.reps)
 
     if args.baseline_src is not None:
-        # The old tree has no packed representation; both labels run the
-        # generic loop, so measure it once under the 'unpacked' label.
+        # The old tree predates the kernels: measure its generic loop
+        # under the 'unpacked' label.
         base = measure(args.baseline_src,
                        [("directory", "unpacked", "base"),
                         ("bus", "unpacked", "base")],
@@ -287,36 +277,23 @@ def main(argv: list[str] | None = None) -> int:
                      "rerun on 256-byte 4-way caches)",
         "method": f"min over {args.rounds} interleaved subprocess rounds "
                   f"of min-of-{args.reps} in-process repetitions",
+        "host": {"nproc": os.cpu_count()},
         "before": before,
         "after": after,
         "streaming": streaming,
     }
     record["speedup"] = {
-        "directory_kernel_vs_packed": round(
-            after["directory_packed_ms"] / after["directory_kernel_ms"], 2),
-        "bus_kernel_vs_packed": round(
-            after["bus_packed_ms"] / after["bus_kernel_ms"], 2),
-        "directory_packed_vs_unpacked": round(
-            after["directory_unpacked_ms"] / after["directory_packed_ms"], 2),
-        "bus_packed_vs_unpacked": round(
-            after["bus_unpacked_ms"] / after["bus_packed_ms"], 2),
-        "directory_kernel_vs_packed_evicting": round(
-            after["directory_packed_evicting_ms"]
-            / after["directory_kernel_evicting_ms"], 2),
-        "bus_kernel_vs_packed_evicting": round(
-            after["bus_packed_evicting_ms"]
-            / after["bus_kernel_evicting_ms"], 2),
+        f"{machine}_kernel_vs_unpacked{suffix}": round(
+            after[f"{machine}_unpacked{suffix}_ms"]
+            / after[f"{machine}_kernel{suffix}_ms"], 2)
+        for suffix in ("", "_evicting")
+        for machine in ("directory", "bus")
     }
     if before:
         record["speedup"].update({
-            "directory_packed_vs_before": round(
-                before["directory_ms"] / after["directory_packed_ms"], 2),
-            "bus_packed_vs_before": round(
-                before["bus_ms"] / after["bus_packed_ms"], 2),
-            "directory_kernel_vs_before": round(
-                before["directory_ms"] / after["directory_kernel_ms"], 2),
-            "bus_kernel_vs_before": round(
-                before["bus_ms"] / after["bus_kernel_ms"], 2),
+            f"{machine}_kernel_vs_before": round(
+                before[f"{machine}_ms"] / after[f"{machine}_kernel_ms"], 2)
+            for machine in ("directory", "bus")
         })
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record, indent=2))

@@ -6,10 +6,10 @@ loops) are visible.  Unlike the table benchmarks these use multiple
 rounds, since they are cheap.
 
 ``TRACE`` is a packable :class:`repro.trace.core.Trace`, so the machine
-``run`` loops take the packed columnar fast path; the ``*_unpacked``
+``run`` calls replay it on the table-driven kernels; the ``*_unpacked``
 variants feed the same accesses as a plain list, timing the generic
 per-``Access`` path for comparison.  ``benchmarks/record_throughput.py``
-runs the same workload standalone and records the packed-vs-baseline
+runs the same workload standalone and records the kernel-vs-generic
 speedup in ``BENCH_throughput.json``.
 """
 
@@ -41,7 +41,7 @@ UNPACKED = list(TRACE)
 
 # Resolve the packed columns once so every timed round measures replay,
 # not the one-time packing cost.
-TRACE.pack().blocks_column(CFG.cache.block_size.bit_length() - 1)
+TRACE.pack().block_sequences(CFG.cache.block_size.bit_length() - 1)
 
 #: Small table2 slice for the parallel-vs-serial harness benchmarks.
 _T2_KWARGS = dict(
@@ -68,10 +68,10 @@ def test_directory_machine_unpacked_throughput(benchmark):
         return machine.stats.total
 
     total = benchmark(run)
-    # The packed fast path must not change the statistics.
-    packed = DirectoryMachine(CFG, AGGRESSIVE)
-    packed.run(TRACE)
-    assert total == packed.stats.total
+    # The kernel replay must not change the statistics.
+    kernel = DirectoryMachine(CFG, AGGRESSIVE)
+    kernel.run(TRACE)
+    assert total == kernel.stats.total
 
 
 def test_directory_machine_conventional_throughput(benchmark):
@@ -101,9 +101,9 @@ def test_bus_machine_unpacked_throughput(benchmark):
         return machine.bus_stats.total
 
     total = benchmark(run)
-    packed = BusMachine(CFG, AdaptiveSnoopingProtocol())
-    packed.run(TRACE)
-    assert total == packed.bus_stats.total
+    kernel = BusMachine(CFG, AdaptiveSnoopingProtocol())
+    kernel.run(TRACE)
+    assert total == kernel.bus_stats.total
 
 
 def test_table2_serial_throughput(benchmark):

@@ -115,14 +115,6 @@ class SetAssociativeCache(Cache):
     def _set_of(self, block: int) -> OrderedDict[int, CacheLine]:
         return self._sets[block % self._num_sets]
 
-    def hot_sets(self) -> tuple[list[OrderedDict[int, CacheLine]], int, bool]:
-        """Raw ``(sets, num_sets, is_lru)`` for machine replay fast loops.
-
-        The machines bind these to locals and index/``move_to_end`` the
-        per-set mappings directly, skipping two method calls per hit.
-        """
-        return self._sets, self._num_sets, self._policy == "lru"
-
     def lookup(self, block: int) -> CacheLine | None:
         return self._sets[block % self._num_sets].get(block)
 
@@ -180,10 +172,6 @@ class InfiniteCache(Cache):
     def __init__(self, config: CacheConfig | None = None):
         self._config = config
         self._lines: dict[int, CacheLine] = {}
-
-    def hot_lines(self) -> dict[int, CacheLine]:
-        """Raw block -> line mapping for machine replay fast loops."""
-        return self._lines
 
     def lookup(self, block: int) -> CacheLine | None:
         return self._lines.get(block)

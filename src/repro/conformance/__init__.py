@@ -14,8 +14,8 @@ infrastructure that any later change can be run against:
   interleavings the synthetic generators never emit.
 * :mod:`repro.conformance.oracle` — the differential oracle: replays
   each trace through the directory machine, the snooping machine, the
-  packed-trace fast paths, and a sequential-consistency reference
-  model, asserting bit-identical statistics and invariant-clean state.
+  table-driven kernels, and a sequential-consistency reference model,
+  asserting bit-identical statistics and invariant-clean state.
 * :mod:`repro.conformance.bugs` — deliberately broken protocol
   variants (fault injection) used to prove the oracle actually fires.
 * :mod:`repro.conformance.shrink` — a greedy delta-debugging shrinker

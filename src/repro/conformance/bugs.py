@@ -75,27 +75,33 @@ class DropsInvalidationsDirectory(DirectoryMachine):
         self._bump_version(block, line)
 
 
-class SkewsPackedStatsDirectory(DirectoryMachine):
-    """Directory bug: the packed fast path loses half its read hits.
+class SkewsKernelStatsDirectory(DirectoryMachine):
+    """Directory bug: the table-driven kernel loses half its read hits.
 
-    Models a fast-path divergence (the class of bug the packed-vs-generic
-    differential stage exists for): the columnar replay produces correct
-    protocol behaviour but drifts on a statistic.
+    Models a fast-path divergence (the class of bug the kernel-vs-generic
+    differential stage exists for): the kernel replay produces correct
+    protocol behaviour but drifts on a statistic.  The subclass calls
+    the kernel itself, since :meth:`DirectoryMachine.run` keeps
+    subclasses off it; replays the kernel declines take the stock path.
     """
 
-    def _run_packed(self, packed):
-        before = self.cache_stats.read_hits
-        result = super()._run_packed(packed)
-        gained = self.cache_stats.read_hits - before
-        self.cache_stats.read_hits = before + gained // 2
-        return result
+    def run(self, trace):
+        pack = getattr(trace, "pack", None)
+        if pack is not None and not self._check and self.step_hook is None:
+            from repro.kernels.directory import try_replay
+
+            result = try_replay(self, pack())
+            if result is not None:
+                self.cache_stats.read_hits //= 2
+                return result
+        return super().run(trace)
 
 
 #: ``--inject`` name -> keyword overrides for ``oracle.run_case``.
 INJECTIONS = {
     "none": {},
     "drop-invalidation": {"directory_machine": DropsInvalidationsDirectory},
-    "packed-skew": {"directory_machine": SkewsPackedStatsDirectory},
+    "kernel-skew": {"directory_machine": SkewsKernelStatsDirectory},
     "snoop-drop-invalidation": {"snoop_factories": (ForgetsToInvalidate,)},
     "snoop-stale-fill": {"snoop_factories": (FillsStaleExclusive,)},
 }

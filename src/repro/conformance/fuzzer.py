@@ -27,7 +27,7 @@ be named in a bug report.  Five profiles are provided:
   distinct blocks than ways collide in each set, so every case churns
   replacements.  This drives the kernels' eviction-aware group walks —
   segment restarts, recency bookkeeping, replacement charges, dirty
-  writebacks, last-copy directory forgetting — against the packed
+  writebacks, last-copy directory forgetting — against the generic
   reference, with stats and final cache state compared bit-for-bit.
 * ``family`` — traffic shaped for the adaptive-family machinery of
   :mod:`repro.protocols`: same-writer write runs just around the hybrid
@@ -40,8 +40,8 @@ be named in a bug report.  Five profiles are provided:
 
 Machine geometry (processor count, block size, finite vs infinite
 caches, associativity, replacement policy) is fuzzed along with the
-trace so the packed-replay fast paths for every cache flavour are
-covered, not just the infinite-cache one.
+trace so the kernels' envelope decisions and walks for every cache
+flavour are covered, not just the infinite-cache one.
 """
 
 from __future__ import annotations

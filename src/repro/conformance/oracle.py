@@ -1,36 +1,29 @@
 """The differential cross-engine oracle.
 
 One fuzz case is replayed through every engine the repository ships and
-each replay is audited four ways:
+each replay is audited three ways:
 
-1. **Invariant-clean state at every step.**  The generic (unpacked)
+1. **Invariant-clean state at every step.**  The generic per-access
    replay runs with the built-in checker enabled, which asserts the
    structural invariants of :mod:`repro.conformance.invariants` and the
    read-latest-write version property after every protocol-visible
    operation.
-2. **Bit-identical packed replay.**  A second, checker-free machine
-   replays the same trace through the packed-trace fast path
-   (:meth:`PackedTrace.blocks_column` et al.), with the table-driven
-   kernels pinned off so the *legacy* packed loop is what is measured;
-   every statistic the machine produces — message/bus counters
-   including the per-cause breakdowns, cache event counters,
-   invalidation-size histograms — must be *exactly* equal to the
-   generic replay's.  This is the contract PR 1 introduced and every
-   future fast-path change must keep.
-3. **Bit-identical kernel replay.**  A third machine replays with the
-   table-driven kernels of :mod:`repro.kernels` eligible (they engage
-   or fall back on their own gating rules); its statistics *and* its
-   final microarchitectural state — every cache line's state, dirty
-   bit and competitive counter, every directory entry's classification,
-   copy set, invalidator and evidence streak, the transition counters —
-   must be exactly equal to the packed replay's.  This stage also
-   covers the update-family snooping protocols, which the invariant/SC
-   stages exclude.
-4. **Sequential-consistency reference model.**  An independent flat
+2. **Sequential-consistency reference model.**  An independent flat
    memory model tracks, per block, the globally latest write version;
    after the replay the machine's observed version history must agree
-   with it, and every engine must agree with every other (the final
-   write to each block is visible identically everywhere).
+   with it.
+3. **Bit-identical kernel replay.**  A second, checker-free machine
+   replays the packed trace with the table-driven kernels of
+   :mod:`repro.kernels` eligible (they engage or fall back to the
+   generic loop on their own gating rules); every statistic —
+   message/bus counters including the per-cause breakdowns, cache
+   event counters, invalidation-size histograms — *and* the final
+   microarchitectural state — every cache line's state, dirty bit and
+   competitive counter, every directory entry's classification, copy
+   set, invalidator and evidence streak, the transition counters —
+   must be exactly equal to the checked generic replay's.  This stage
+   also covers the update-family snooping protocols, which the
+   invariant/SC stages exclude.
 
 The first discrepancy is reported as a :class:`CaseFailure` naming the
 stage, the engine, and the detail; ``None`` means the case is clean.
@@ -64,7 +57,7 @@ DEFAULT_POLICIES: tuple[AdaptivePolicy, ...] = tuple(
 )
 
 #: Directory families that ship their own machine realization.  They
-#: replay through all four stages against *their* machine whenever the
+#: replay through all three stages against *their* machine whenever the
 #: stock machine is in play (fault injection swaps the stock machine
 #: for a broken subclass, which would silently displace these).
 FAMILY_DIRECTORY_MACHINES = tuple(
@@ -72,7 +65,7 @@ FAMILY_DIRECTORY_MACHINES = tuple(
 )
 
 #: Snooping protocol factories replayed by default — the families whose
-#: verification config asks for the full four-stage audit.
+#: verification config asks for the full three-stage audit.
 DEFAULT_SNOOP_FACTORIES: tuple[Callable[[], SnoopingProtocol], ...] = tuple(
     fam.factory for fam in families.bus_families() if fam.oracle == "full"
 )
@@ -80,7 +73,7 @@ DEFAULT_SNOOP_FACTORIES: tuple[Callable[[], SnoopingProtocol], ...] = tuple(
 #: Snooping protocol factories audited by the kernel-diff stage only.
 #: The pure-update family is excluded from the invariant/SC stages
 #: (remote copies stay current, so the read-latest-write property is
-#: trivially a different contract), but legacy-vs-kernel equality still
+#: trivially a different contract), but generic-vs-kernel equality still
 #: applies.
 KERNEL_ONLY_SNOOP_FACTORIES: tuple[Callable[[], SnoopingProtocol], ...] = \
     tuple(
@@ -94,8 +87,8 @@ class CaseFailure:
     """One conformance discrepancy.
 
     Attributes:
-        stage: which audit failed — ``"invariants"``, ``"packed-diff"``,
-            ``"kernel-diff"`` or ``"sc-reference"``.
+        stage: which audit failed — ``"invariants"``,
+            ``"sc-reference"`` or ``"kernel-diff"``.
         engine: the engine label, e.g. ``"directory[basic]"``.
         detail: human-readable description of the discrepancy.
     """
@@ -140,7 +133,7 @@ def _replay_reference(case: FuzzCase) -> SCReference:
 
 def _diff_fields(
     pairs: Sequence[tuple[str, object, object]],
-    labels: tuple[str, str] = ("generic", "packed"),
+    labels: tuple[str, str] = ("generic", "kernel"),
 ) -> str | None:
     """Describe the first few mismatching (name, left, right) triples."""
     left, right = labels
@@ -261,28 +254,18 @@ def _run_directory(
     mismatch = _version_mismatch(label, ref, checked)
     if mismatch is not None:
         return CaseFailure("sc-reference", label, mismatch)
-    packed = machine_factory(config, policy, check=False)
-    with registry.disabled():
-        # Pin the legacy packed loop so this stage keeps auditing it
-        # even on geometries where the kernel would engage.
-        with span("conformance.replay", engine=label, stage="packed"):
-            packed.run(case.trace)
-    diff = _diff_fields(_directory_pairs(checked, packed))
-    if diff is not None:
-        return CaseFailure("packed-diff", label, diff)
     kernel = machine_factory(config, policy, check=False)
     with span("conformance.replay", engine=label, stage="kernel"):
         kernel.run(case.trace)
     diff = _diff_fields(
-        _directory_pairs(packed, kernel)
+        _directory_pairs(checked, kernel)
         + [
-            ("transitions", packed.protocol.transitions,
+            ("transitions", checked.protocol.transitions,
              kernel.protocol.transitions),
-            ("entries", _directory_entries(packed),
+            ("entries", _directory_entries(checked),
              _directory_entries(kernel)),
-            ("lines", _final_lines(packed), _final_lines(kernel)),
-        ],
-        labels=("packed", "kernel"),
+            ("lines", _final_lines(checked), _final_lines(kernel)),
+        ]
     )
     if diff is not None:
         return CaseFailure("kernel-diff", f"directory-kernel[{policy.name}]",
@@ -308,17 +291,8 @@ def _run_snooping(
     mismatch = _version_mismatch(label, ref, checked)
     if mismatch is not None:
         return CaseFailure("sc-reference", label, mismatch)
-    packed = machine_factory(config, protocol_factory(), check=False)
-    with registry.disabled():
-        # Pin the legacy packed loop so this stage keeps auditing it
-        # even on geometries where the kernel would engage.
-        with span("conformance.replay", engine=label, stage="packed"):
-            packed.run(case.trace)
-    diff = _diff_fields(_snooping_pairs(checked, packed))
-    if diff is not None:
-        return CaseFailure("packed-diff", label, diff)
     return _snooping_kernel_diff(case, protocol_factory, machine_factory,
-                                 packed)
+                                 checked)
 
 
 def _snooping_kernel_diff(
@@ -327,9 +301,9 @@ def _snooping_kernel_diff(
     machine_factory: Callable[..., BusMachine],
     baseline: BusMachine | None = None,
 ) -> CaseFailure | None:
-    """Kernel-eligible replay vs the legacy engine, state and all.
+    """Kernel-eligible replay vs the generic engine, state and all.
 
-    When ``baseline`` is None (the kernel-only protocols), the legacy
+    When ``baseline`` is None (the kernel-only protocols), the generic
     reference replay is produced here under :func:`registry.disabled`.
     """
     protocol = protocol_factory()
@@ -338,15 +312,14 @@ def _snooping_kernel_diff(
     if baseline is None:
         baseline = machine_factory(config, protocol_factory(), check=False)
         with registry.disabled():
-            with span("conformance.replay", engine=label, stage="legacy"):
+            with span("conformance.replay", engine=label, stage="generic"):
                 baseline.run(case.trace)
     kernel = machine_factory(config, protocol, check=False)
     with span("conformance.replay", engine=label, stage="kernel"):
         kernel.run(case.trace)
     diff = _diff_fields(
         _snooping_pairs(baseline, kernel)
-        + [("lines", _final_lines(baseline), _final_lines(kernel))],
-        labels=("packed", "kernel"),
+        + [("lines", _final_lines(baseline), _final_lines(kernel))]
     )
     if diff is not None:
         return CaseFailure("kernel-diff", label, diff)

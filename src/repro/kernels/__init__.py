@@ -24,11 +24,12 @@ Layers:
   interpreters.  ``try_replay(machine, packed)`` either replays the
   whole trace on the kernel and returns the stats object, or returns
   ``None`` (machine untouched) when the replay is outside the kernel's
-  envelope, in which case the machine falls through to its packed loop.
+  envelope, in which case the machine falls through to its generic
+  per-access loop.
 
 The kernels engage automatically from ``DirectoryMachine.run`` /
-``BusMachine.run`` under the same guard as the packed fast path (packed
-trace, no checker, no ``step_hook``) plus eligibility conditions
+``BusMachine.run`` for a packable trace with no checker and no
+``step_hook``, under the eligibility conditions
 documented in ``docs/PERFORMANCE.md``; statistics and final machine
 state are bit-identical to the object engines (enforced by the
 conformance oracle's kernel-vs-object stage).

@@ -30,7 +30,7 @@ with chunk-skipping holder decodes, raising the processor cap to 1024.
 
 ``try_replay`` returns ``None`` without touching the machine whenever
 the replay falls outside the kernel envelope (see the gate comments);
-the caller then runs the packed loop, keeping behavior identical.
+the caller then runs the generic loop, keeping behavior identical.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _members(lines: int) -> list[tuple[int, int]]:
 def _expand(table, home: int, node: list, sym: int):
     """Grow one DFA edge by running the integer protocol semantics.
 
-    Mirrors ``DirectoryMachine._access_block`` and its miss/upgrade
+    Mirrors ``DirectoryMachine.access`` and its miss/upgrade
     handlers exactly: per-node line fields (0 absent, 1 SHARED, 2
     EXCL-clean, 3 EXCL-dirty) play the caches and the copy set, the
     compiled rows play :class:`DirectoryProtocol`, and the Table 1
@@ -393,7 +393,7 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
 def try_replay(machine, packed):
     """Replay ``packed`` on the kernel, or return ``None`` untouched.
 
-    The envelope (each gate falls back to the packed loop, which is
+    The envelope (each gate falls back to the generic loop, which is
     always correct): kernels enabled; exact production component types
     (subclassed machines/placements/representations may observe steps
     the kernel elides); no per-block message tracking; processor ids
@@ -527,7 +527,7 @@ def try_replay(machine, packed):
     except (KernelUnsupported, KeyError):
         # DFA capacity, or a combination outside the probed rows: the
         # machine is untouched (mutation happens only below), so the
-        # packed loop can still run the replay.
+        # generic loop can still run the replay.
         return _fallback("walk-abort")
     _apply(machine, totals, inv_sizes, finals)
     if groups:
@@ -609,8 +609,8 @@ def _apply_groups(machine, groups) -> None:
 
     Each processor's lines are re-inserted in the walk's final recency
     order (oldest first), so the machine's per-set ordering — observable
-    by any further accesses after the replay — matches the packed loop's
-    exactly.
+    by any further accesses after the replay — matches the generic
+    loop's exactly.
     """
     from repro.system.machine import CState
 

@@ -8,13 +8,15 @@ reusable facts — node transitions and per-sequence walk results — so
 sharing them across replays, threads (the stats accumulation is
 per-replay, guarded by the GIL), and result-cache workers is safe.
 
-Two switches force the legacy packed loop without touching call sites:
+Two switches pin replays to the generic per-access loop without touching
+call sites:
 
 * the ``REPRO_NO_KERNEL`` environment variable (checked per replay, so
   benchmark subprocesses and tests can toggle it);
 * :func:`disabled`, a re-entrant context manager used by the
-  conformance oracle to pin one replay to the packed path while the
-  kernel stage exercises the other.
+  conformance oracle to produce a generic reference replay for the
+  protocols its checked stages exclude, and by benchmarks to time a
+  fallback.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.kernels import tables
 #: machines themselves have ``__slots__`` and carry no kernel marker.
 engagements: Counter = Counter()
 
-#: Replays that fell back from a kernel to the legacy packed loop,
+#: Replays that fell back from a kernel to the generic loop,
 #: keyed ``(engine, reason)``.  The telemetry mirror (when a session is
 #: active) is :data:`FALLBACK_METRIC`, so kernel-envelope gaps are
 #: measurable in production traffic instead of silent.
@@ -45,7 +47,7 @@ _log = logging.getLogger("repro.kernels")
 
 
 def record_fallback(engine: str, reason: str) -> None:
-    """Count one kernel-to-packed-loop fallback (and return ``None``,
+    """Count one kernel-to-generic-loop fallback (and return ``None``,
     so gate sites read ``return record_fallback(...)``).
 
     Every ``try_replay`` gate routes through here: the module counter
@@ -66,7 +68,7 @@ def record_fallback(engine: str, reason: str) -> None:
         _log.debug("kernel fallback: engine=%s reason=%s", engine, reason)
 
 #: Safety valve: a DFA that outgrows this stops expanding and the replay
-#: falls back to the packed loop (the machine is only mutated after a
+#: falls back to the generic loop (the machine is only mutated after a
 #: complete walk, so a mid-walk bailout is free).
 NODE_LIMIT = 1 << 17
 
@@ -83,7 +85,7 @@ _disable_depth = 0
 
 @contextmanager
 def disabled():
-    """Force the packed loops for the duration of the ``with`` block."""
+    """Force the generic loops for the duration of the ``with`` block."""
     global _disable_depth
     _disable_depth += 1
     try:

@@ -25,12 +25,12 @@ probes: every holder's reaction depends only on its own line, and the
 requester fill / writer upgrade is the highest-:data:`RANK` candidate
 (migratory beats shared beats default — exactly the wired-OR of the
 Migratory and Shared bus lines).  A rank tie between *different*
-candidates has no wired-OR reading, so the walk aborts to the packed
+candidates has no wired-OR reading, so the walk aborts to the generic
 loop rather than guess.
 
 ``try_replay`` returns ``None`` without touching the machine whenever
 the replay falls outside the kernel envelope; the caller then runs the
-packed loop, keeping behavior identical.
+generic loop, keeping behavior identical.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _prefer(best, cand):
 def _expand(table, node: list, sym: int):
     """Grow one DFA edge by running the integer protocol semantics.
 
-    Mirrors ``BusMachine._access_block`` exactly: the packed fields play
+    Mirrors ``BusMachine.access`` exactly: the packed fields play
     the caches, the compiled rows play the protocol handlers, and the
     transaction/event charges are evaluated here — once per edge, never
     per access.
@@ -324,7 +324,7 @@ def _walk_bus_group(table, count: int, stream, ways: int, lru: bool):
 def try_replay(machine, packed):
     """Replay ``packed`` on the kernel, or return ``None`` untouched.
 
-    The envelope (each gate falls back to the packed loop, which is
+    The envelope (each gate falls back to the generic loop, which is
     always correct): kernels enabled; an exactly-shipped protocol type
     (checked by the compiler); processor ids packable (<= 1024); and a
     fresh machine.  Finite geometries replay eviction-aware: sets that
@@ -416,7 +416,7 @@ def try_replay(machine, packed):
     except (KernelUnsupported, KeyError):
         # DFA capacity, an un-probed combination, or an uncomposable
         # multi-holder snoop: the machine is untouched (mutation happens
-        # only below), so the packed loop can still run the replay.
+        # only below), so the generic loop can still run the replay.
         return _fallback("walk-abort")
     _apply(machine, table, totals, finals)
     if groups:
@@ -484,8 +484,8 @@ def _apply_groups(machine, table, groups) -> None:
 
     Each processor's lines are re-inserted in the walk's final recency
     order (oldest first), so the machine's per-set ordering — observable
-    by any further accesses after the replay — matches the packed loop's
-    exactly.
+    by any further accesses after the replay — matches the generic
+    loop's exactly.
     """
     caches = machine.caches
     fb = table.field_bits

@@ -18,7 +18,7 @@ and the replay keeps only
 Statistics merge deterministically: every per-segment walk yields
 integer delta totals, and integer addition is order-independent, so a
 replay fed in 1-access segments produces byte-identical stats and final
-machine state to the batch kernel and to the packed loop.
+machine state to the batch kernel and to the generic loop.
 
 Blocks making their first appearance start at the DFA root and reuse
 the batch kernels' per-sequence result caches; continuation walks (a

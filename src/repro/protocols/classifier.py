@@ -23,9 +23,9 @@ label                     evidence
 ========================  ============================================
 
 Word-level write footprints come from the machine, which must therefore
-see every access — including the silent writes the packed fast path
-retires inline.  :class:`ClassifierDirectoryMachine` consequently
-forces the generic per-access replay path and registers the honest
+see every access — including the silent writes the kernels fold into
+their walks.  :class:`ClassifierDirectoryMachine` is a machine subclass,
+so its replays take the generic per-access loop and register the honest
 ``family-unkerneled`` fallback; classification is an observation layer,
 so message statistics stay identical to the stock machine under the
 same policy.
@@ -41,9 +41,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.common.types import WORD_SIZE, Op
+from repro.common.types import WORD_SIZE
 from repro.directory.protocol import DirectoryProtocol
-from repro.kernels import registry as kernel_registry
 from repro.system.machine import DirectoryMachine
 
 #: The classification labels, in rough specificity order.
@@ -138,8 +137,9 @@ class ClassifierDirectoryMachine(DirectoryMachine):
     """Directory machine running the classifier protocol.
 
     Message accounting is the stock machine's; the only behavioral
-    difference is that every access takes the generic path so the
-    protocol sees word-level write footprints.
+    difference is that every access feeds the protocol its word-level
+    write footprint (subclasses never engage the kernels, so every
+    access reaches :meth:`access`).
     """
 
     __slots__ = ()
@@ -149,24 +149,6 @@ class ClassifierDirectoryMachine(DirectoryMachine):
     def __init__(self, config, policy, placement=None, **kwargs):
         super().__init__(config, policy, placement, **kwargs)
         self.protocol = ClassifierDirectoryProtocol(policy)
-
-    def run(self, trace):
-        """Replay ``trace`` on the generic per-access path.
-
-        The packed fast path retires silent writes inline, which would
-        blind the word-footprint taps — so a packable replay counts one
-        honest fallback and walks access by access.  ``PackedTrace``
-        iterates as :class:`Access` records, so both input shapes work.
-        """
-        if (getattr(trace, "pack", None) is not None
-                and not self._check and self.step_hook is None):
-            kernel_registry.record_fallback(
-                "directory", self.kernel_fallback_reason
-            )
-        access = self.access
-        for acc in trace:
-            access(acc.proc, acc.op is Op.WRITE, acc.addr)
-        return self.stats
 
     def access(self, proc, is_write, addr, exclusive_hint=False):
         if is_write:

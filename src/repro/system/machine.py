@@ -34,13 +34,7 @@ import random
 from collections import Counter
 from typing import Callable, Iterable
 
-from repro.cache.core import (
-    Cache,
-    CacheLine,
-    InfiniteCache,
-    SetAssociativeCache,
-    make_cache,
-)
+from repro.cache.core import Cache, CacheLine, make_cache
 from repro.common.config import MachineConfig
 from repro.conformance.invariants import check_directory_block
 from repro.common.errors import ProtocolError
@@ -138,29 +132,23 @@ class DirectoryMachine:
 
         ``trace`` may be a :class:`repro.trace.core.Trace`, a
         :class:`repro.trace.packed.PackedTrace`, or any iterable of
-        :class:`Access` records.  Packable traces replay through a fast
-        columnar loop (bit-identical statistics, several times faster);
-        the coherence checker and an installed step hook force the
-        generic per-access path.  The hook contract is symmetric with
+        :class:`Access` records.  A packable trace replayed with no
+        checker and no step hook runs on the table-driven kernel
+        (:mod:`repro.kernels`) when it is inside the kernel envelope —
+        bit-identical statistics and final state, more than an order of
+        magnitude faster.  Every other replay, including each named and
+        counted kernel fallback, takes the generic per-access loop,
+        which columnar traces feed straight from ``iter_packed`` with
+        no :class:`Access` boxing.  The hook contract is symmetric with
         :meth:`repro.snooping.machine.BusMachine.run`: install the hook
-        *before* calling ``run``.  A hook that appears mid-replay on
-        the packed path (from a placement or protocol callback, say)
-        would observe only part of the stream, so the replay ends with
-        a :class:`ProtocolError` instead of returning silently partial
-        observations.
-
-        Under the same guard, replays inside the table-driven kernel
-        envelope (:mod:`repro.kernels`) run on the compiled transition
-        tables instead of the packed loop — bit-identical statistics
-        and final state, roughly an order of magnitude faster.
+        *before* calling ``run``.
         """
         pack = getattr(trace, "pack", None)
         if pack is not None and not self._check and self.step_hook is None:
-            packed = pack()
             if type(self) is DirectoryMachine:
                 from repro.kernels.directory import try_replay
 
-                result = try_replay(self, packed)
+                result = try_replay(self, pack())
                 if result is not None:
                     return result
             else:
@@ -169,86 +157,14 @@ class DirectoryMachine:
                 kernel_registry.record_fallback(
                     "directory", self.kernel_fallback_reason
                 )
-            return self._run_packed(packed)
         access = self.access
-        for acc in trace:
-            access(acc.proc, acc.op is Op.WRITE, acc.addr)
-        return self.stats
-
-    def _run_packed(self, packed) -> MessageStats:
-        """Replay packed columns, retiring plain hits inline.
-
-        A read hit, or a write hit on an exclusively-held line, needs no
-        protocol transition and no message charge — only an LRU touch and
-        a counter bump — so those retire without leaving the loop; every
-        other access falls through to :meth:`_access_block`.  The block
-        column is precomputed once per (trace, block size) by
-        ``packed.blocks_column``.
-        """
-        blocks = packed.blocks_column(self._block_shift)
-        procs = packed.procs
-        ops = packed.ops
-        caches = self.caches
-        access = self._access_block
-        excl = CState.EXCL
-        read_hits = 0
-        write_hits = 0
-        first = caches[0] if caches else None
-        if type(first) is SetAssociativeCache:
-            sets_by_proc = [cache.hot_sets()[0] for cache in caches]
-            _, num_sets, lru = first.hot_sets()
-            if lru:
-                for proc, is_write, block in zip(procs, ops, blocks):
-                    cset = sets_by_proc[proc][block % num_sets]
-                    line = cset.get(block)
-                    if line is not None:
-                        if not is_write:
-                            cset.move_to_end(block)
-                            read_hits += 1
-                            continue
-                        if line.state is excl:
-                            line.dirty = True
-                            cset.move_to_end(block)
-                            write_hits += 1
-                            continue
-                    access(proc, is_write, block)
-            else:
-                for proc, is_write, block in zip(procs, ops, blocks):
-                    line = sets_by_proc[proc][block % num_sets].get(block)
-                    if line is not None:
-                        if not is_write:
-                            read_hits += 1
-                            continue
-                        if line.state is excl:
-                            line.dirty = True
-                            write_hits += 1
-                            continue
-                    access(proc, is_write, block)
-        elif type(first) is InfiniteCache:
-            lines_by_proc = [cache.hot_lines() for cache in caches]
-            for proc, is_write, block in zip(procs, ops, blocks):
-                line = lines_by_proc[proc].get(block)
-                if line is not None:
-                    if not is_write:
-                        read_hits += 1
-                        continue
-                    if line.state is excl:
-                        line.dirty = True
-                        write_hits += 1
-                        continue
-                access(proc, is_write, block)
+        packer = getattr(trace, "iter_packed", None)
+        if packer is not None:  # columnar traces skip Access boxing
+            for proc, is_write, addr in packer():
+                access(proc, is_write, addr)
         else:
-            for proc, is_write, block in zip(procs, ops, blocks):
-                access(proc, is_write, block)
-        self.cache_stats.read_hits += read_hits
-        self.cache_stats.write_hits += write_hits
-        if self.step_hook is not None:
-            raise ProtocolError(
-                "step_hook installed mid-replay on the packed fast path: "
-                "the hook missed every earlier step, so its observations "
-                "are unreliable; install it before run() to take the "
-                "generic per-access path"
-            )
+            for acc in trace:
+                access(acc.proc, acc.op is Op.WRITE, acc.addr)
         return self.stats
 
     def run_with_hints(
@@ -276,20 +192,7 @@ class DirectoryMachine:
                 off-line read-exclusive oracle); ignored for writes and
                 read hits.
         """
-        self._access_block(
-            proc, is_write, addr >> self._block_shift, exclusive_hint
-        )
-
-    def _access_block(
-        self, proc: int, is_write: bool, block: int,
-        exclusive_hint: bool = False,
-    ) -> None:
-        """Process one reference given its block number directly.
-
-        Everything downstream of the address is a function of the block
-        (page homes derive from ``block << block_shift``), so the packed
-        replay loop resolves blocks once per trace and enters here.
-        """
+        block = addr >> self._block_shift
         cache = self.caches[proc]
         line = cache.lookup(block)
         if not is_write:

@@ -9,8 +9,8 @@ style of a Prometheus client library.  Two properties drive the design:
    no-op metric objects whose ``inc``/``set``/``observe`` bodies are a
    single ``pass``; instrumented code pays one attribute call and
    nothing else.  The machines themselves pay *literally* nothing: with
-   no ``step_hook`` installed they replay through the packed fast path
-   untouched.
+   no ``step_hook`` installed they replay on the table-driven kernels
+   (or the generic loop) untouched.
 
 2. **Deterministic merge.**  Worker processes of a ``--jobs N`` sweep
    each build their own registry and ship it back as a plain dict

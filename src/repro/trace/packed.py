@@ -3,13 +3,13 @@
 :class:`PackedTrace` stores an access trace as three parallel ``array``
 columns — processor ids (``'q'``), a write flag (``'b'``), and byte
 addresses (``'q'``) — instead of a list of boxed
-:class:`repro.common.types.Access` objects.  The machines' replay loops
-consume the columns directly via :meth:`iter_packed`, which eliminates
-per-access dataclass attribute loads and ``Op`` enum comparisons from the
-hot path; a multi-million-access replay runs several times faster.
+:class:`repro.common.types.Access` objects.  The machines' generic
+replay loops consume the columns directly via :meth:`iter_packed`, with
+no per-access dataclass attribute loads or ``Op`` enum comparisons, and
+the table-driven kernels split them into per-block symbol sequences.
 
 The representation also derives and memoises the per-``block_shift``
-block-number column the machines actually index caches with
+block-number column the kernels' sequence splits derive from
 (:meth:`blocks_column`), so a sweep that replays the same trace under many
 policies at one block size shifts each address exactly once.
 

@@ -33,7 +33,7 @@ discovery order, not from ordering states.
 Fault injection from :mod:`repro.conformance.bugs` plugs in here too, so
 the checker can prove it *finds* the bugs it exists to find: the two
 snooping protocol bugs and the directory invalidation-dropping machine
-are model-checkable; the stats-only ``packed-skew`` injection is not and
+are model-checkable; the stats-only ``kernel-skew`` injection is not and
 is rejected.
 """
 

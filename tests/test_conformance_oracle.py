@@ -48,9 +48,9 @@ class TestFaultInjection:
 
     def test_packed_stat_skew_caught(self):
         case = generate_case(0, "uniform")
-        failure = run_case(case, **bugs.engine_overrides("packed-skew"))
+        failure = run_case(case, **bugs.engine_overrides("kernel-skew"))
         assert failure is not None
-        assert failure.stage == "packed-diff"
+        assert failure.stage == "kernel-diff"
         assert "read_hits" in failure.detail
 
     def test_snoop_dropped_invalidation_caught(self):

@@ -1,7 +1,7 @@
 """Kernel fallback accounting (``repro_kernel_fallback_total``).
 
-Every ``try_replay`` gate that routes a replay back to the legacy
-packed loop must say *why*: the module counter
+Every ``try_replay`` gate that routes a replay to the generic
+per-access loop must say *why*: the module counter
 (:data:`repro.kernels.registry.fallbacks`) keyed ``(engine, reason)``,
 the ambient telemetry counter labelled the same way, and a DEBUG log
 line.  An engaged kernel replay must count nothing — fallbacks measure
@@ -14,8 +14,11 @@ import pytest
 
 from repro.common.config import CacheConfig, MachineConfig
 from repro.common.types import Access, Op
-from repro.directory.policy import BASIC
+from repro.directory.policy import BASIC, CONVENTIONAL
+from repro.directory.representation import LimitedPointerDirectory
 from repro.kernels import registry
+from repro.protocols.classifier import ClassifierDirectoryMachine
+from repro.protocols.hybrid import HybridUpdateInvalidateProtocol
 from repro.snooping.machine import BusMachine
 from repro.snooping.protocols import MesiProtocol
 from repro.system.machine import DirectoryMachine
@@ -155,6 +158,55 @@ class TestReasons:
         DirectoryMachine(config, BASIC).run(_trace(blocks=2))
         assert registry.engagements["directory"] == 1
         assert not registry.fallbacks
+
+    @pytest.mark.parametrize("engine, reason, make", [
+        ("directory", "representation", lambda config, check:
+            DirectoryMachine(config, BASIC, check=check,
+                             representation=LimitedPointerDirectory(4, True))),
+        ("directory", "representation", lambda config, check:
+            DirectoryMachine(config, BASIC, check=check,
+                             representation=LimitedPointerDirectory(4, False))),
+        ("bus", "family-unkerneled", lambda config, check:
+            BusMachine(config, HybridUpdateInvalidateProtocol(),
+                       check=check)),
+        ("directory", "family-unkerneled", lambda config, check:
+            ClassifierDirectoryMachine(config, CONVENTIONAL, check=check)),
+    ], ids=["dir4B", "dir4NB", "hybrid-bus", "classifier"])
+    def test_fallback_replay_matches_the_checked_generic_replay(
+            self, engine, reason, make):
+        # 8 processors read every block, so 4 pointers overflow; the
+        # first 4 each write their own word of it (false sharing).
+        accesses = []
+        for _ in range(4):
+            for proc in range(8):
+                for block in range(4):
+                    accesses.append(Access(proc, Op.READ, 16 * block))
+                    if proc < 4:
+                        accesses.append(
+                            Access(proc, Op.WRITE, 16 * block + 4 * proc))
+        trace = Trace(accesses, name="fallback-words")
+        config = _config(num_procs=8)
+        checked = make(config, True)
+        checked.run(list(trace))
+        assert not registry.fallbacks  # the checker never asks a kernel
+        fallback = make(config, False)
+        fallback.run(trace.pack())
+        assert registry.fallbacks == {(engine, reason): 1}
+        assert not registry.engagements
+        if engine == "bus":
+            assert fallback.bus_stats == checked.bus_stats
+        else:
+            assert fallback.stats == checked.stats
+            assert fallback.invalidation_sizes == checked.invalidation_sizes
+        assert fallback.cache_stats == checked.cache_stats
+        if isinstance(fallback, ClassifierDirectoryMachine):
+            # The word taps see the same footprints from packed columns
+            # as from Access records.
+            labels = {block: fallback.protocol.classify(block)
+                      for block in fallback.protocol.patterns}
+            assert labels == {block: checked.protocol.classify(block)
+                              for block in checked.protocol.patterns}
+            assert set(labels.values()) == {"false-sharing"}
 
     def test_bus_not_fresh(self):
         machine = BusMachine(_config(), MesiProtocol())

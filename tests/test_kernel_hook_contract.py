@@ -2,10 +2,10 @@
 
 Mirrors ``tests/test_step_hook_contract.py`` for the kernel replays of
 :mod:`repro.kernels`: a hook installed *before* ``run`` keeps both
-machines off the kernel (and off the packed loop) entirely, while a
-hook that sneaks in mid-replay — after the kernel has already summed
-the whole trace — must fail loudly on both machines, with an error
-naming the kernel path.
+machines off the kernel entirely, while a hook that sneaks in
+mid-replay — after the kernel has already summed the whole trace —
+must fail loudly on both machines, with an error naming the kernel
+path.
 """
 
 import pytest
@@ -95,10 +95,10 @@ class TestMidReplayInstallRejected:
         with pytest.raises(ProtocolError, match="table-driven kernel"):
             machine.run(trace)
 
-    def test_both_errors_match_the_packed_contract(self, monkeypatch):
-        # The legacy packed loop advertises the same condition with
-        # "mid-replay"; the kernel message must keep matching it so
-        # callers can catch either path uniformly.
+    def test_error_names_mid_replay(self, monkeypatch):
+        # The streaming kernel advertises the same condition with
+        # "mid-replay"; the batch kernel message must keep matching it
+        # so callers can catch either path uniformly.
         machine = DirectoryMachine(_config(), BASIC)
         original = RoundRobinPlacement.home
 

@@ -5,7 +5,7 @@ Three contracts are pinned here:
 * **Chunk-boundary equivalence** — feeding a trace in segments of any
   size (including segments that split a block's accesses arbitrarily)
   produces stats and final machine state identical to the batch kernel
-  and to the legacy packed loop.  Integer delta merges are
+  and to the generic per-access loop.  Integer delta merges are
   order-independent, so this must hold exactly, not approximately.
 * **O(chunk) memory** — a replay fed from a segment generator never
   materialises the whole trace: peak allocation during the feed phase

@@ -6,12 +6,12 @@ Three contracts are pinned here:
   every piece of final microarchitectural state (cache lines with dirty
   bits and competitive counters, directory entries with copy sets,
   invalidators and evidence streaks, classification transitions) is
-  identical to the legacy engines', across the full policy/protocol
+  identical to the generic engines', across the full policy/protocol
   matrix and both cache geometries.
 * **Gating** — anything outside the kernel envelope (subclassed
   components, observation hooks, random replacement, stale machines,
   processor counts past the wide cap, the kill switches) silently falls
-  back to the legacy paths with identical results and no engagement.
+  back to the generic loop with identical results and no engagement.
   Tiny evicting caches, first-touch placement, and processor counts up
   to 1024 are *inside* the envelope since the eviction-aware walks.
 * **Compilation** — the probe-based compiler closes the evidence-streak
@@ -178,7 +178,7 @@ class TestBusEquivalence:
 
 
 class TestGating:
-    """Every gate falls back to the legacy paths, bit for bit."""
+    """Every gate falls back to the generic loop, bit for bit."""
 
     def _assert_directory_fallback(self, **kwargs):
         registry.engagements.clear()

@@ -2,15 +2,14 @@
 
 A hook installed before ``run`` forces the generic per-access path (on
 both machines) and observes every protocol-visible step while leaving
-every statistic bit-identical to the packed replay.  A hook that
-appears *mid-replay* on the packed path missed earlier steps, so the
-replay must fail loudly instead of returning partial observations.
+every statistic bit-identical to the hook-free replay.  The generic
+loop consults the hook at every step, so one that appears mid-replay
+simply starts observing there (the kernel path, which sums the whole
+trace before any hook could fire, rejects that case: see
+``tests/test_kernel_hook_contract.py``).
 """
 
-import pytest
-
 from repro.common.config import CacheConfig, MachineConfig
-from repro.common.errors import ProtocolError
 from repro.common.types import Access, Op
 from repro.directory.policy import BASIC
 from repro.snooping.machine import BusMachine
@@ -45,8 +44,8 @@ class TestHookForcesGenericPath:
     hook on every protocol-visible step, and keep identical stats."""
 
     def test_directory(self):
-        packed = DirectoryMachine(_config(), BASIC)
-        packed.run(_trace())
+        unhooked = DirectoryMachine(_config(), BASIC)
+        unhooked.run(_trace())
         seen = []
         hooked = DirectoryMachine(
             _config(), BASIC,
@@ -56,13 +55,13 @@ class TestHookForcesGenericPath:
         stats = hooked.cache_stats
         assert len(seen) == (stats.read_misses + stats.write_misses
                              + stats.upgrades)
-        assert hooked.cache_stats == packed.cache_stats
-        assert hooked.stats.short == packed.stats.short
-        assert hooked.stats.data == packed.stats.data
+        assert hooked.cache_stats == unhooked.cache_stats
+        assert hooked.stats.short == unhooked.stats.short
+        assert hooked.stats.data == unhooked.stats.data
 
     def test_bus(self):
-        packed = BusMachine(_config(), MesiProtocol())
-        packed.run(_trace())
+        unhooked = BusMachine(_config(), MesiProtocol())
+        unhooked.run(_trace())
         seen = []
         hooked = BusMachine(
             _config(), MesiProtocol(),
@@ -73,8 +72,8 @@ class TestHookForcesGenericPath:
         # The bus hook additionally fires on bus-silent write hits.
         assert len(seen) >= (stats.read_misses + stats.write_misses
                              + stats.upgrades)
-        assert hooked.cache_stats == packed.cache_stats
-        assert hooked.bus_stats.by_kind == packed.bus_stats.by_kind
+        assert hooked.cache_stats == unhooked.cache_stats
+        assert hooked.bus_stats.by_kind == unhooked.bus_stats.by_kind
 
 
 class _HookInstallingPlacement:
@@ -89,38 +88,17 @@ class _HookInstallingPlacement:
         return 0
 
 
-class _HookInstallingProtocol(MesiProtocol):
-    """Snooping protocol that installs a hook from a miss handler."""
-
-    def __init__(self):
-        self.machine = None
-
-    def read_miss_fill(self, caches, proc, block):
-        if self.machine.step_hook is None:
-            self.machine.step_hook = lambda m, p, b: None
-        return super().read_miss_fill(caches, proc, block)
-
-
 class TestMidReplayInstallRejected:
-    def test_directory_packed_path_raises(self):
-        placement = _HookInstallingPlacement()
-        machine = DirectoryMachine(_config(), BASIC, placement=placement)
-        placement.machine = machine
-        with pytest.raises(ProtocolError, match="mid-replay"):
-            machine.run(_trace())
-
-    def test_bus_packed_path_raises(self):
-        protocol = _HookInstallingProtocol()
-        machine = BusMachine(_config(), protocol)
-        protocol.machine = machine
-        with pytest.raises(ProtocolError, match="mid-replay"):
-            machine.run(_trace())
+    """Only the kernel path rejects a mid-replay install."""
 
     def test_generic_path_tolerates_mid_replay_install(self):
-        # On the per-access path there is no packed fast-path contract
-        # to violate: iterating plain accesses never consults pack().
-        placement = _HookInstallingPlacement()
-        machine = DirectoryMachine(_config(), BASIC, placement=placement)
-        placement.machine = machine
-        machine.run(iter(_trace()))
-        assert machine.step_hook is not None
+        # The per-access path calls the hook from the step it appears
+        # at onward, so installing one mid-replay is harmless — for a
+        # plain iterable and for a packable trace the kernel declines
+        # (a custom placement is outside its envelope).
+        for trace in (iter(_trace()), _trace()):
+            placement = _HookInstallingPlacement()
+            machine = DirectoryMachine(_config(), BASIC, placement=placement)
+            placement.machine = machine
+            machine.run(trace)
+            assert machine.step_hook is not None

@@ -98,7 +98,7 @@ class TestValidation:
 
     def test_stats_only_injection_rejected(self):
         with pytest.raises(VerificationError, match="not model-checkable"):
-            VerifyConfig("directory", "basic", inject="packed-skew")
+            VerifyConfig("directory", "basic", inject="kernel-skew")
 
     def test_snoop_injection_requires_mesi(self):
         with pytest.raises(VerificationError, match="MESI"):
