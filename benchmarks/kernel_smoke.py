@@ -15,7 +15,9 @@ and asserts the two contracts the kernels ship under:
   and bus counters with their per-cause/per-kind breakdowns, cache
   event counters, invalidation-size histograms, classification
   transitions — is byte-identical to the object engine's on the same
-  fixed seeded trace.
+  fixed seeded trace, and so is every counter of the stats-only replay
+  (``replay_counters``, which engages the kernel but skips the
+  final-state backfill).
 
 Both contracts are checked twice per machine: once on the infinite
 64K-cache throughput geometry and once on a finite 256-byte cache
@@ -87,10 +89,11 @@ def _best(make, trace) -> float:
     return best
 
 
-def _check_machine(name, make, trace, stats_of, *, label=None,
+def _check_machine(name, make, counters, trace, stats_of, *, label=None,
                    require_evictions=False) -> list[str]:
-    """Time kernel vs generic and diff kernel stats against the object
-    engine; returns failure descriptions (empty = clean)."""
+    """Time kernel vs generic and diff the kernel's and the stats-only
+    replay's (``counters(trace)``) stats against the object engine;
+    returns failure descriptions (empty = clean)."""
     problems = []
     label = label or name
 
@@ -119,13 +122,24 @@ def _check_machine(name, make, trace, stats_of, *, label=None,
             f"{label}: kernel replay ({kernel_seconds * 1e3:.3f}ms) slower "
             f"than the generic loop ({generic_seconds * 1e3:.3f}ms)")
 
+    registry.engagements.clear()
+    stats_only = counters(trace)
+    if registry.engagements[name] != 1:
+        problems.append(f"{label}: stats-only replay did not engage "
+                        f"(engagements={dict(registry.engagements)})")
+
     generic_machine = make()
     generic_machine.run(list(trace))  # a plain list has no pack()
-    for field, kernel_value, generic_value in stats_of(kernel_machine,
-                                                       generic_machine):
-        if kernel_value != generic_value:
-            problems.append(f"{label}: {field}: kernel={kernel_value!r} "
-                            f"object-engine={generic_value!r}")
+    for kind, replayed in (("kernel", kernel_machine),
+                           ("stats-only", stats_only)):
+        for field, value, generic_value in stats_of(replayed,
+                                                    generic_machine):
+            if value != generic_value:
+                problems.append(f"{label}: {field}: {kind}={value!r} "
+                                f"object-engine={generic_value!r}")
+    if not problems:
+        print(f"{label}: kernel and stats-only stats match the object "
+              "engine")
     return problems
 
 
@@ -155,6 +169,13 @@ def _check_streaming(name, make, packed, stats_of) -> list[str]:
     return problems
 
 
+def _transitions(replayed):
+    """A machine's transition counters, or a stats-only replay's."""
+    if isinstance(replayed, DirectoryMachine):
+        return replayed.protocol.transitions
+    return replayed.transitions
+
+
 def _directory_stats(a, b):
     return [
         ("stats.short", a.stats.short, b.stats.short),
@@ -163,7 +184,7 @@ def _directory_stats(a, b):
         ("by_cause_data", a.stats.by_cause_data, b.stats.by_cause_data),
         ("cache_stats", a.cache_stats, b.cache_stats),
         ("invalidation_sizes", a.invalidation_sizes, b.invalidation_sizes),
-        ("transitions", a.protocol.transitions, b.protocol.transitions),
+        ("transitions", _transitions(a), _transitions(b)),
     ]
 
 
@@ -181,22 +202,22 @@ def main() -> int:
     packed = trace.pack()
     packed.block_sequences(4)
 
-    problems = _check_machine(
-        "directory", lambda: DirectoryMachine(CFG, AGGRESSIVE), trace,
-        _directory_stats,
-    )
-    problems += _check_machine(
-        "bus", lambda: BusMachine(CFG, AdaptiveSnoopingProtocol()), trace,
-        _bus_stats,
-    )
-    problems += _check_machine(
-        "directory", lambda: DirectoryMachine(EVICT_CFG, AGGRESSIVE), trace,
-        _directory_stats, label="directory-evicting", require_evictions=True,
-    )
-    problems += _check_machine(
-        "bus", lambda: BusMachine(EVICT_CFG, AdaptiveSnoopingProtocol()),
-        trace, _bus_stats, label="bus-evicting", require_evictions=True,
-    )
+    problems = []
+    for cfg, suffix, evicting in ((CFG, "", False),
+                                  (EVICT_CFG, "-evicting", True)):
+        problems += _check_machine(
+            "directory", lambda: DirectoryMachine(cfg, AGGRESSIVE),
+            lambda t: DirectoryMachine.replay_counters(t, cfg, AGGRESSIVE),
+            trace, _directory_stats, label=f"directory{suffix}",
+            require_evictions=evicting,
+        )
+        problems += _check_machine(
+            "bus", lambda: BusMachine(cfg, AdaptiveSnoopingProtocol()),
+            lambda t: BusMachine.replay_counters(
+                t, cfg, AdaptiveSnoopingProtocol()),
+            trace, _bus_stats, label=f"bus{suffix}",
+            require_evictions=evicting,
+        )
     problems += _check_streaming(
         "directory", lambda: DirectoryMachine(STREAM_CFG, AGGRESSIVE),
         packed, _directory_stats,

@@ -4,9 +4,9 @@ Times the full sweep — ``repro-experiments all --scale 0.25 --jobs 4``
 — three ways and writes the results to ``BENCH_parallel.json``:
 
 * ``before`` — the same command on a pre-optimization source tree
-  (``--baseline-src``, e.g. a git worktree of the commit before this
-  work); skipped (carried forward from the existing JSON) when the flag
-  is absent;
+  (``--baseline-src``, e.g. a checkout of the commit before this work),
+  against its own empty result cache; skipped (carried forward from the
+  existing JSON) when the flag is absent;
 * ``after_cold`` — the current tree against an empty result cache: the
   persistent executor, the shared-trace arena, and the *intra-run*
   replay dedup the content-addressed cache provides (table2 after
@@ -18,10 +18,12 @@ Times the full sweep — ``repro-experiments all --scale 0.25 --jobs 4``
 Every run shares one pre-warmed trace cache so trace synthesis (paid
 identically by every tree) does not flatter the comparison; the result
 cache is private to this measurement and never touches the user's.
+The host's CPU count is recorded beside the numbers (``--jobs 4`` is
+clamped to the available CPUs).
 
 Run from the repository root::
 
-    git worktree add /tmp/base <pre-optimization-commit>
+    git clone . /tmp/base && git -C /tmp/base checkout <pre-optimization-commit>
     python benchmarks/record_parallel.py --baseline-src /tmp/base/src
 """
 
@@ -81,8 +83,13 @@ def main(argv: list[str] | None = None) -> int:
 
         before = previous.get("before", {})
         if args.baseline_src is not None:
-            seconds = min(run_sweep(args.baseline_src, dict(shared))
-                          for _ in range(args.rounds))
+            # A baseline tree with a result cache of its own must run
+            # cold too, never against the user's default cache.
+            seconds = float("inf")
+            for _ in range(args.rounds):
+                subprocess.run(["rm", "-rf", result_cache], check=True)
+                env = {**shared, "REPRO_RESULT_CACHE": result_cache}
+                seconds = min(seconds, run_sweep(args.baseline_src, env))
             before = {"seconds": round(seconds, 2)}
 
         cold = float("inf")
@@ -95,6 +102,7 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {
         "benchmark": "repro-experiments " + " ".join(COMMAND),
+        "host": {"nproc": os.cpu_count()},
         "method": f"min over {args.rounds} subprocess launch(es) per "
                   "configuration; shared pre-warmed trace cache; "
                   "fresh result cache per cold round",

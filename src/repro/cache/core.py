@@ -99,10 +99,13 @@ class SetAssociativeCache(Cache):
         self._config = config
         self._num_sets = config.num_sets
         self._ways = config.associativity
-        # Each set maps block -> CacheLine in recency order (oldest first).
-        self._sets: list[OrderedDict[int, CacheLine]] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        # Each set maps block -> CacheLine in recency order (oldest
+        # first).  A set is built on its first fill: a large cache
+        # (16,384 sets at 1 MB) is mostly never-touched sets, and a
+        # ``None`` slot reads as empty everywhere.
+        self._sets: list[OrderedDict[int, CacheLine] | None] = (
+            [None] * self._num_sets
+        )
         self._policy = config.replacement
         self._rng = rng or random.Random(0)
         self._size = 0
@@ -112,21 +115,22 @@ class SetAssociativeCache(Cache):
         """The geometry this cache was built with."""
         return self._config
 
-    def _set_of(self, block: int) -> OrderedDict[int, CacheLine]:
-        return self._sets[block % self._num_sets]
-
     def lookup(self, block: int) -> CacheLine | None:
-        return self._sets[block % self._num_sets].get(block)
+        cache_set = self._sets[block % self._num_sets]
+        return None if cache_set is None else cache_set.get(block)
 
     def touch(self, block: int) -> None:
         if self._policy == "lru":
             cache_set = self._sets[block % self._num_sets]
-            if block in cache_set:
+            if cache_set is not None and block in cache_set:
                 cache_set.move_to_end(block)
 
     def insert(self, block: int, state: Any, dirty: bool = False) -> CacheLine | None:
-        cache_set = self._sets[block % self._num_sets]
-        if block in cache_set:
+        index = block % self._num_sets
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif block in cache_set:
             line = cache_set[block]
             line.state = state
             line.dirty = dirty
@@ -151,6 +155,8 @@ class SetAssociativeCache(Cache):
 
     def remove(self, block: int) -> CacheLine | None:
         cache_set = self._sets[block % self._num_sets]
+        if cache_set is None:
+            return None
         line = cache_set.pop(block, None)
         if line is not None:
             self._size -= 1
@@ -158,7 +164,8 @@ class SetAssociativeCache(Cache):
 
     def resident_blocks(self) -> Iterator[int]:
         for cache_set in self._sets:
-            yield from cache_set
+            if cache_set is not None:
+                yield from cache_set
 
     def __len__(self) -> int:
         return self._size

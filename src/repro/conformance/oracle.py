@@ -21,9 +21,11 @@ each replay is audited three ways:
    microarchitectural state — every cache line's state, dirty bit and
    competitive counter, every directory entry's classification, copy
    set, invalidator and evidence streak, the transition counters —
-   must be exactly equal to the checked generic replay's.  This stage
-   also covers the update-family snooping protocols, which the
-   invariant/SC stages exclude.
+   must be exactly equal to the checked generic replay's.  The same
+   stage replays the case once more through the stats-only entry
+   (``replay_counters``), whose counters must equal the checked
+   replay's too.  This stage also covers the update-family snooping
+   protocols, which the invariant/SC stages exclude.
 
 The first discrepancy is reported as a :class:`CaseFailure` naming the
 stage, the engine, and the detail; ``None`` means the case is clean.
@@ -183,7 +185,8 @@ def _directory_entries(machine) -> dict[int, tuple]:
 
 
 def _directory_pairs(a, b) -> list[tuple[str, object, object]]:
-    """Statistic comparison triples for two directory machines."""
+    """Statistic comparison triples for two directory machines (or a
+    machine and a stats-only replay's counters)."""
     return [
         ("short", a.stats.short, b.stats.short),
         ("data", a.stats.data, b.stats.data),
@@ -200,7 +203,8 @@ def _directory_pairs(a, b) -> list[tuple[str, object, object]]:
 
 
 def _snooping_pairs(a, b) -> list[tuple[str, object, object]]:
-    """Statistic comparison triples for two bus machines."""
+    """Statistic comparison triples for two bus machines (or a machine
+    and a stats-only replay's counters)."""
     return [
         ("read_miss", a.bus_stats.read_miss, b.bus_stats.read_miss),
         ("write_miss", a.bus_stats.write_miss, b.bus_stats.write_miss),
@@ -270,6 +274,17 @@ def _run_directory(
     if diff is not None:
         return CaseFailure("kernel-diff", f"directory-kernel[{policy.name}]",
                            diff)
+    with span("conformance.replay", engine=label, stage="stats-only"):
+        counters = machine_factory.replay_counters(case.trace, config, policy)
+    diff = _diff_fields(
+        _directory_pairs(checked, counters)
+        + [("transitions", checked.protocol.transitions,
+            counters.transitions)],
+        labels=("generic", "stats-only"),
+    )
+    if diff is not None:
+        return CaseFailure("kernel-diff",
+                           f"directory-stats-only[{policy.name}]", diff)
     return None
 
 
@@ -301,7 +316,8 @@ def _snooping_kernel_diff(
     machine_factory: Callable[..., BusMachine],
     baseline: BusMachine | None = None,
 ) -> CaseFailure | None:
-    """Kernel-eligible replay vs the generic engine, state and all.
+    """Kernel-eligible replay vs the generic engine, state and all,
+    then the stats-only replay's counters vs the generic engine's.
 
     When ``baseline`` is None (the kernel-only protocols), the generic
     reference replay is produced here under :func:`registry.disabled`.
@@ -323,6 +339,14 @@ def _snooping_kernel_diff(
     )
     if diff is not None:
         return CaseFailure("kernel-diff", label, diff)
+    with span("conformance.replay", engine=label, stage="stats-only"):
+        counters = machine_factory.replay_counters(
+            case.trace, config, protocol_factory())
+    diff = _diff_fields(_snooping_pairs(baseline, counters),
+                        labels=("generic", "stats-only"))
+    if diff is not None:
+        return CaseFailure("kernel-diff",
+                           f"bus-stats-only[{protocol.name}]", diff)
     return None
 
 

@@ -150,6 +150,35 @@ def directory_config(
     )
 
 
+def replay_directory(
+    trace: Trace,
+    policy: AdaptivePolicy,
+    config: MachineConfig,
+    placement_kind: str = "best_static",
+) -> MessageStats:
+    """One raw directory replay's message stats: no cache, no telemetry.
+
+    The policy's registered family picks the machine class, and the
+    replay runs stats-only (:meth:`DirectoryMachine.replay_counters`),
+    since only the counters leave this function.
+    """
+    machine_cls, _ = _directory_realization(policy)
+    placement = get_placement(placement_kind, trace, config)
+    return machine_cls.replay_counters(trace, config, policy, placement).stats
+
+
+def bus_config(
+    cache_size: int | None,
+    block_size: int = 16,
+    num_procs: int = NUM_PROCS,
+) -> MachineConfig:
+    """The bus machine's configuration at one design point."""
+    return MachineConfig(
+        num_procs=num_procs,
+        cache=CacheConfig(size_bytes=cache_size, block_size=block_size),
+    )
+
+
 def run_directory(
     trace: Trace,
     policy: AdaptivePolicy,
@@ -165,7 +194,9 @@ def run_directory(
     (:mod:`repro.experiments.resultcache`) keyed by the trace bytes, the
     machine configuration, and the policy's behavioural fields — except
     when the active telemetry session instruments machines, whose whole
-    point is observing the replay this cache would skip.
+    point is observing the replay this cache would skip.  Such a replay
+    runs in full on a machine carrying a recorder; every other one is
+    the stats-only :func:`replay_directory`.
     """
     config = directory_config(
         cache_size, block_size, num_procs, eviction_notification
@@ -173,20 +204,23 @@ def run_directory(
 
     machine_cls, family_label = _directory_realization(policy)
 
-    def replay() -> MessageStats:
-        placement = get_placement(placement_kind, trace, config)
-        machine = machine_cls(config, policy, placement)
-        # Zero-cost when no telemetry session is active (the usual
-        # case); under one, the machine gets a recorder and the replay
-        # is timed.
-        telemetry.attach(machine)
-        with telemetry.span("replay.directory", app=trace.name,
-                            policy=policy.name,
-                            repro_protocol_family=family_label):
-            return machine.run(trace)
+    def span():
+        # Zero-cost when no telemetry session is active (the usual case).
+        return telemetry.span("replay.directory", app=trace.name,
+                              policy=policy.name,
+                              repro_protocol_family=family_label)
 
     if telemetry.machine_instrumentation_active():
-        return replay()
+        placement = get_placement(placement_kind, trace, config)
+        machine = machine_cls(config, policy, placement)
+        telemetry.attach(machine)
+        with span():
+            return machine.run(trace)
+
+    def replay() -> MessageStats:
+        with span():
+            return replay_directory(trace, policy, config, placement_kind)
+
     return resultcache.memoize(
         "directory",
         (trace.pack().digest(), resultcache.config_digest(config),
@@ -207,23 +241,27 @@ def run_bus(
     """Run one bus-machine simulation and return its transaction stats.
 
     Cached like :func:`run_directory`, with the protocol digest standing
-    in for the policy digest.
+    in for the policy digest; uninstrumented replays are stats-only
+    (:meth:`BusMachine.replay_counters`).
     """
-    config = MachineConfig(
-        num_procs=num_procs,
-        cache=CacheConfig(size_bytes=cache_size, block_size=block_size),
-    )
+    config = bus_config(cache_size, block_size, num_procs)
 
-    def replay() -> BusStats:
-        machine = BusMachine(config, protocol)
-        telemetry.attach(machine)
-        with telemetry.span("replay.bus", app=trace.name,
-                            protocol=protocol.name,
-                            repro_protocol_family=_bus_family_label(protocol)):
-            return machine.run(trace)
+    def span():
+        return telemetry.span("replay.bus", app=trace.name,
+                              protocol=protocol.name,
+                              repro_protocol_family=_bus_family_label(protocol))
 
     if telemetry.machine_instrumentation_active():
-        return replay()
+        machine = BusMachine(config, protocol)
+        telemetry.attach(machine)
+        with span():
+            return machine.run(trace)
+
+    def replay() -> BusStats:
+        with span():
+            return BusMachine.replay_counters(
+                trace, config, protocol).bus_stats
+
     return resultcache.memoize(
         "bus",
         (trace.pack().digest(), resultcache.config_digest(config),

@@ -31,6 +31,10 @@ with chunk-skipping holder decodes, raising the processor cap to 1024.
 ``try_replay`` returns ``None`` without touching the machine whenever
 the replay falls outside the kernel envelope (see the gate comments);
 the caller then runs the generic loop, keeping behavior identical.
+When it engages it writes every counter the generic loop would, and —
+unless the caller asked for counters only (``final_state=False``, the
+stats-only replay of :meth:`DirectoryMachine.replay_counters`) — backfills
+the final cache lines and directory entries as well.
 """
 
 from __future__ import annotations
@@ -390,7 +394,7 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
             (ev_short, ev_data, ev_dirty, ev_clean, forget))
 
 
-def try_replay(machine, packed):
+def try_replay(machine, packed, final_state: bool = True):
     """Replay ``packed`` on the kernel, or return ``None`` untouched.
 
     The envelope (each gate falls back to the generic loop, which is
@@ -404,6 +408,13 @@ def try_replay(machine, packed):
     random replacement (its RNG draws are unobservable from here) and
     silent clean evictions (``eviction_notification=False`` leaves the
     directory's copy set stale, outside the packed-state encoding).
+
+    An engaged replay writes every counter into the machine (message
+    and cache statistics, invalidation sizes, protocol transitions,
+    eviction totals) and any first-touch homes into the placement.
+    With ``final_state`` (the default) it also backfills the final
+    cache lines and directory entries; without it the machine is left
+    holding counters only, which is for callers that drop it unseen.
     """
     if not registry.kernels_enabled():
         return _fallback("disabled")
@@ -529,8 +540,9 @@ def try_replay(machine, packed):
         # machine is untouched (mutation happens only below), so the
         # generic loop can still run the replay.
         return _fallback("walk-abort")
-    _apply(machine, totals, inv_sizes, finals)
-    if groups:
+    _apply_counters(machine, totals, inv_sizes)
+    if final_state:
+        _apply_final(machine, finals)
         _apply_groups(machine, groups)
     if any(ev_totals):
         _apply_evictions(machine, ev_totals)
@@ -562,14 +574,11 @@ def _final_entry(machine, block: int, final_key: int, shift2: int) -> set[int]:
     return copyset
 
 
-def _apply(machine, totals, inv_sizes, finals) -> None:
-    """Write the walk totals and final per-block state into the machine.
+def _apply_counters(machine, totals, inv_sizes) -> None:
+    """Add the walk totals to the machine's counters.
 
     Counter keys are only created for nonzero totals, matching the
-    object engine's lazy ``by_cause``/``transitions`` population.  Cache
-    lines are re-inserted in first-touch block order; these blocks'
-    sets never evicted, so the recency order is unobservable and this
-    canonical order is as good as the historical one.
+    object engine's lazy ``by_cause``/``transitions`` population.
     """
     cache_stats = machine.cache_stats
     cache_stats.read_hits += totals[0]
@@ -592,6 +601,16 @@ def _apply(machine, totals, inv_sizes, finals) -> None:
             transitions[name] += totals[i]
     if inv_sizes:
         machine.invalidation_sizes.update(inv_sizes)
+
+
+def _apply_final(machine, finals) -> None:
+    """Write the independent walks' final per-block state into the machine.
+
+    Each block gets its directory entry and its cache lines.  Lines are
+    re-inserted in first-touch block order; these blocks' sets never
+    evicted, so the recency order is unobservable and this canonical
+    order is as good as the historical one.
+    """
     from repro.system.machine import CState
 
     shared, excl = CState.SHARED, CState.EXCL

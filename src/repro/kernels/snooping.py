@@ -30,7 +30,10 @@ loop rather than guess.
 
 ``try_replay`` returns ``None`` without touching the machine whenever
 the replay falls outside the kernel envelope; the caller then runs the
-generic loop, keeping behavior identical.
+generic loop, keeping behavior identical.  When it engages it writes
+every counter the generic loop would, and — unless the caller asked for
+counters only (``final_state=False``, the stats-only replay of
+:meth:`BusMachine.replay_counters`) — backfills the final cache lines.
 """
 
 from __future__ import annotations
@@ -321,7 +324,7 @@ def _walk_bus_group(table, count: int, stream, ways: int, lru: bool):
             (writebacks, ev_dirty, ev_clean))
 
 
-def try_replay(machine, packed):
+def try_replay(machine, packed, final_state: bool = True):
     """Replay ``packed`` on the kernel, or return ``None`` untouched.
 
     The envelope (each gate falls back to the generic loop, which is
@@ -332,6 +335,12 @@ def try_replay(machine, packed):
     take the grouped recency walks.  Random replacement is the one
     genuinely unsupported finite geometry (its RNG draws are
     unobservable from here) and falls back by that name.
+
+    An engaged replay writes every counter into the machine (bus and
+    cache statistics, eviction totals).  With ``final_state`` (the
+    default) it also backfills the final cache lines; without it the
+    machine is left holding counters only, which is for callers that
+    drop it unseen.
     """
     if not registry.kernels_enabled():
         return _fallback("disabled")
@@ -418,8 +427,9 @@ def try_replay(machine, packed):
         # multi-holder snoop: the machine is untouched (mutation happens
         # only below), so the generic loop can still run the replay.
         return _fallback("walk-abort")
-    _apply(machine, table, totals, finals)
-    if groups:
+    _apply_counters(machine, totals)
+    if final_state:
+        _apply_final(machine, table, finals)
         _apply_groups(machine, table, groups)
     if any(ev_totals):
         _apply_evictions(machine, ev_totals)
@@ -442,14 +452,11 @@ def _insert_line(cache, block: int, field: int) -> None:
         cache.lookup(block).counter = field >> 3
 
 
-def _apply(machine, table, totals, finals) -> None:
-    """Write the walk totals and final per-block lines into the machine.
+def _apply_counters(machine, totals) -> None:
+    """Add the walk totals to the machine's counters.
 
     ``by_kind`` keys are only created for nonzero totals, matching the
-    object engine's lazy population.  Cache lines are re-inserted in
-    first-touch block order; these blocks' sets never evicted, so the
-    recency order is unobservable and this canonical order is as good
-    as the historical one.
+    object engine's lazy population.
     """
     cache_stats = machine.cache_stats
     cache_stats.read_hits += totals[0]
@@ -466,6 +473,15 @@ def _apply(machine, table, totals, finals) -> None:
                     ("invalidation", 7), ("update", 8)):
         if totals[i]:
             bus.by_kind[kind] += totals[i]
+
+
+def _apply_final(machine, table, finals) -> None:
+    """Write the independent walks' final per-block lines into the machine.
+
+    Lines are re-inserted in first-touch block order; these blocks'
+    sets never evicted, so the recency order is unobservable and this
+    canonical order is as good as the historical one.
+    """
     caches = machine.caches
     fb = table.field_bits
     mask = (1 << fb) - 1

@@ -24,8 +24,8 @@ Blocks making their first appearance start at the DFA root and reuse
 the batch kernels' per-sequence result caches; continuation walks (a
 block spanning segments) resume from the stored node.  ``finish()``
 writes the accumulated totals and final per-block states through the
-batch kernels' own ``_apply`` helpers, so the two backends cannot
-drift.
+batch kernels' own ``_apply_counters``/``_apply_final`` helpers, so
+the two backends cannot drift.
 
 The streaming envelope is the batch envelope minus finite caches:
 replacement needs the set's *global* conflict structure, which a
@@ -199,7 +199,8 @@ class DirectoryStreamReplay:
                 "to take the generic per-access path"
             )
         finals = [(block, hn[1][-1]) for block, hn in self._nodes.items()]
-        dkernel._apply(machine, self._totals, self._inv_sizes, finals)
+        dkernel._apply_counters(machine, self._totals, self._inv_sizes)
+        dkernel._apply_final(machine, finals)
         if self._first_touch and self._new_homes:
             machine.placement._homes.update(self._new_homes)
         registry.engagements[self.ENGINE] += 1
@@ -305,7 +306,8 @@ class BusStreamReplay:
                 "to take the generic per-access path"
             )
         finals = [(block, node[-1]) for block, node in self._nodes.items()]
-        snooping._apply(machine, self._table, self._totals, finals)
+        snooping._apply_counters(machine, self._totals)
+        snooping._apply_final(machine, self._table, finals)
         registry.engagements[self.ENGINE] += 1
         return machine.bus_stats
 

@@ -20,11 +20,9 @@ from __future__ import annotations
 import os
 import time
 
-from repro.common.config import CacheConfig, MachineConfig
 from repro.experiments import bus as bus_experiment
 from repro.experiments import common, resultcache
 from repro.experiments import table2, table3
-from repro.protocols import registry as families
 from repro.service.protocol import (
     DIRECTORY_POLICIES,
     ExperimentRequest,
@@ -59,11 +57,8 @@ def replay_cache_parts(spec: ReplaySpec, trace_digest: str) -> tuple[str, tuple]
             resultcache.policy_digest(policy),
             spec.placement,
         )
-    config = MachineConfig(
-        num_procs=spec.num_procs,
-        cache=CacheConfig(size_bytes=spec.cache_size,
-                          block_size=spec.block_size),
-    )
+    config = common.bus_config(spec.cache_size, spec.block_size,
+                               spec.num_procs)
     protocol = make_snooping_protocol(spec.policy)
     return "bus", (
         trace_digest,
@@ -89,7 +84,13 @@ def _inject_delay() -> None:
 
 
 def run_replay(spec_payload: dict, handle: TraceHandle | None) -> dict:
-    """Execute one replay; returns the cache-codec stats payload."""
+    """Execute one replay; returns the cache-codec stats payload.
+
+    Runs the same stats-only replays as ``repro-experiments``
+    (:func:`repro.experiments.common.replay_directory` and
+    :meth:`BusMachine.replay_counters`), so families shipping their own
+    machines replay on them here too.
+    """
     _inject_delay()
     spec = ReplaySpec.from_payload(spec_payload)
     trace = _trace(spec, handle)
@@ -97,21 +98,15 @@ def run_replay(spec_payload: dict, handle: TraceHandle | None) -> dict:
         config = common.directory_config(
             spec.cache_size, spec.block_size, spec.num_procs
         )
-        placement = common.get_placement(spec.placement, trace, config)
-        # Resolve through the registry so families shipping their own
-        # machines (hybrid, self-invalidation, classifier) replay on
-        # them, not the stock DirectoryMachine.
-        machine = families.make_directory_machine(
-            spec.policy, config, placement
+        stats = common.replay_directory(
+            trace, DIRECTORY_POLICIES[spec.policy], config, spec.placement
         )
-        return resultcache.encode_message_stats(machine.run(trace))
-    config = MachineConfig(
-        num_procs=spec.num_procs,
-        cache=CacheConfig(size_bytes=spec.cache_size,
-                          block_size=spec.block_size),
-    )
-    machine = BusMachine(config, make_snooping_protocol(spec.policy))
-    return resultcache.encode_bus_stats(machine.run(trace))
+        return resultcache.encode_message_stats(stats)
+    config = common.bus_config(spec.cache_size, spec.block_size,
+                               spec.num_procs)
+    counters = BusMachine.replay_counters(
+        trace, config, make_snooping_protocol(spec.policy))
+    return resultcache.encode_bus_stats(counters.bus_stats)
 
 
 #: name -> (run, render).  Experiments execute serially inside the

@@ -77,6 +77,15 @@ class TestSetAssociativeCache:
         assert removed.block == 0
         assert c.remove(0) is None
         assert len(c) == 0
+        # A fresh 1 MB cache (16,384 sets, none built before a fill)
+        # reads as empty everywhere.
+        big = SetAssociativeCache(CacheConfig(size_bytes=1 << 20, block_size=16))
+        assert len(big) == 0
+        assert list(big.resident_blocks()) == []
+        assert big.lookup(12345) is None
+        assert big.remove(12345) is None
+        big.touch(12345)
+        assert 12345 not in big and len(big) == 0
 
     def test_eviction_returns_dirty_line(self):
         c = small_cache()

@@ -159,21 +159,20 @@ class TestReasons:
         assert registry.engagements["directory"] == 1
         assert not registry.fallbacks
 
-    @pytest.mark.parametrize("engine, reason, make", [
-        ("directory", "representation", lambda config, check:
-            DirectoryMachine(config, BASIC, check=check,
-                             representation=LimitedPointerDirectory(4, True))),
-        ("directory", "representation", lambda config, check:
-            DirectoryMachine(config, BASIC, check=check,
-                             representation=LimitedPointerDirectory(4, False))),
-        ("bus", "family-unkerneled", lambda config, check:
-            BusMachine(config, HybridUpdateInvalidateProtocol(),
-                       check=check)),
-        ("directory", "family-unkerneled", lambda config, check:
-            ClassifierDirectoryMachine(config, CONVENTIONAL, check=check)),
+    @pytest.mark.parametrize("engine, reason, machine_cls, parts", [
+        ("directory", "representation", DirectoryMachine, lambda: {
+            "policy": BASIC,
+            "representation": LimitedPointerDirectory(4, True)}),
+        ("directory", "representation", DirectoryMachine, lambda: {
+            "policy": BASIC,
+            "representation": LimitedPointerDirectory(4, False)}),
+        ("bus", "family-unkerneled", BusMachine, lambda: {
+            "protocol": HybridUpdateInvalidateProtocol()}),
+        ("directory", "family-unkerneled", ClassifierDirectoryMachine,
+         lambda: {"policy": CONVENTIONAL}),
     ], ids=["dir4B", "dir4NB", "hybrid-bus", "classifier"])
     def test_fallback_replay_matches_the_checked_generic_replay(
-            self, engine, reason, make):
+            self, engine, reason, machine_cls, parts):
         # 8 processors read every block, so 4 pointers overflow; the
         # first 4 each write their own word of it (false sharing).
         accesses = []
@@ -186,10 +185,10 @@ class TestReasons:
                             Access(proc, Op.WRITE, 16 * block + 4 * proc))
         trace = Trace(accesses, name="fallback-words")
         config = _config(num_procs=8)
-        checked = make(config, True)
+        checked = machine_cls(config, check=True, **parts())
         checked.run(list(trace))
         assert not registry.fallbacks  # the checker never asks a kernel
-        fallback = make(config, False)
+        fallback = machine_cls(config, **parts())
         fallback.run(trace.pack())
         assert registry.fallbacks == {(engine, reason): 1}
         assert not registry.engagements
@@ -207,6 +206,20 @@ class TestReasons:
             assert labels == {block: checked.protocol.classify(block)
                               for block in checked.protocol.patterns}
             assert set(labels.values()) == {"false-sharing"}
+        # The stats-only replay falls back once, under the same reason,
+        # and counts what the checked replay counted.
+        registry.fallbacks.clear()
+        counters = machine_cls.replay_counters(trace.pack(), config,
+                                               **parts())
+        assert registry.fallbacks == {(engine, reason): 1}
+        assert not registry.engagements
+        if engine == "bus":
+            assert counters.bus_stats == checked.bus_stats
+        else:
+            assert counters.stats == checked.stats
+            assert counters.invalidation_sizes == checked.invalidation_sizes
+            assert counters.transitions == checked.protocol.transitions
+        assert counters.cache_stats == checked.cache_stats
 
     def test_bus_not_fresh(self):
         machine = BusMachine(_config(), MesiProtocol())

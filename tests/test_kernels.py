@@ -7,7 +7,8 @@ Three contracts are pinned here:
   bits and competitive counters, directory entries with copy sets,
   invalidators and evidence streaks, classification transitions) is
   identical to the generic engines', across the full policy/protocol
-  matrix and both cache geometries.
+  matrix and every cache geometry; and the stats-only replays
+  (``replay_counters``) count exactly what ``run()`` counts.
 * **Gating** — anything outside the kernel envelope (subclassed
   components, observation hooks, random replacement, stale machines,
   processor counts past the wide cap, the kill switches) silently falls
@@ -141,6 +142,51 @@ def _run_directory(policy, cache_size, *, disabled, **kwargs):
     return machine
 
 
+def _dir_counters(counters):
+    """Every counter of a directory replay, from a machine or from
+    :meth:`DirectoryMachine.replay_counters`."""
+    stats = counters.stats
+    transitions = getattr(counters, "transitions", None)
+    if transitions is None:
+        transitions = counters.protocol.transitions
+    return {
+        "short": stats.short,
+        "data": stats.data,
+        "by_cause_short": stats.by_cause_short,
+        "by_cause_data": stats.by_cause_data,
+        "cache_stats": counters.cache_stats,
+        "invalidation_sizes": counters.invalidation_sizes,
+        "transitions": transitions,
+    }
+
+
+def _assert_dir_stats_only_matches_run(policy, cache_size):
+    """The stats-only replay counts exactly what ``run()`` counts and
+    engages the kernel alike, on the default placement and on a
+    first-touch one, whose homes it must assign identically."""
+    for placement in (None, FirstTouchPlacement):
+        run_placement = placement and placement()
+        before = registry.engagements["directory"]
+        full = _run_directory(policy, cache_size, disabled=False,
+                              placement=run_placement)
+        engaged = registry.engagements["directory"] - before
+        only_placement = placement and placement()
+        counters = DirectoryMachine.replay_counters(
+            _trace(), _config(cache_size), policy, only_placement)
+        assert registry.engagements["directory"] - before == 2 * engaged
+        assert _dir_counters(counters) == _dir_counters(full)
+        if placement is not None:
+            assert only_placement._homes == run_placement._homes
+
+
+def _bus_counters(counters):
+    return {
+        "bus_stats": counters.bus_stats,
+        "by_kind": counters.bus_stats.by_kind,
+        "cache_stats": counters.cache_stats,
+    }
+
+
 def _run_bus(factory, cache_size, *, disabled, **kwargs):
     machine = BusMachine(_config(cache_size), factory(), **kwargs)
     if disabled:
@@ -162,6 +208,7 @@ class TestDirectoryEquivalence:
         assert registry.engagements["directory"] == (1 if eligible else 0)
         legacy = _run_directory(policy, cache_size, disabled=True)
         assert _dir_state(kernel) == _dir_state(legacy)
+        _assert_dir_stats_only_matches_run(policy, cache_size)
 
 
 class TestBusEquivalence:
@@ -175,6 +222,10 @@ class TestBusEquivalence:
         assert registry.engagements["bus"] == (1 if eligible else 0)
         legacy = _run_bus(factory, cache_size, disabled=True)
         assert _bus_state(kernel) == _bus_state(legacy)
+        counters = BusMachine.replay_counters(
+            _trace(), _config(cache_size), factory())
+        assert registry.engagements["bus"] == (2 if eligible else 0)
+        assert _bus_counters(counters) == _bus_counters(kernel)
 
 
 class TestGating:
@@ -390,13 +441,13 @@ class TestOracleKernelStage:
     def test_corrupted_bus_kernel_is_caught(self, monkeypatch):
         from repro.kernels import snooping
 
-        original = snooping._apply
+        original = snooping._apply_counters
 
-        def skewed(machine, table, totals, finals):
-            original(machine, table, totals, finals)
+        def skewed(machine, totals):
+            original(machine, totals)
             machine.bus_stats.read_miss += 1
 
-        monkeypatch.setattr(snooping, "_apply", skewed)
+        monkeypatch.setattr(snooping, "_apply_counters", skewed)
         failure = oracle.run_case(generate_case(3, "kernel"))
         assert failure is not None
         assert failure.stage == "kernel-diff"
@@ -406,14 +457,34 @@ class TestOracleKernelStage:
     def test_corrupted_directory_kernel_is_caught(self, monkeypatch):
         from repro.kernels import directory
 
-        original = directory._apply
+        original = directory._apply_counters
 
-        def skewed(machine, totals, inv_sizes, finals):
-            original(machine, totals, inv_sizes, finals)
+        def skewed(machine, totals, inv_sizes):
+            original(machine, totals, inv_sizes)
             machine.stats.short += 1
 
-        monkeypatch.setattr(directory, "_apply", skewed)
+        monkeypatch.setattr(directory, "_apply_counters", skewed)
         failure = oracle.run_case(generate_case(3, "kernel"))
         assert failure is not None
         assert failure.stage == "kernel-diff"
         assert failure.engine.startswith("directory-kernel[")
+
+    def test_skewed_stats_only_replay_is_caught(self, monkeypatch):
+        # A drift confined to the stats-only replay (run() stays exact)
+        # is caught by its own comparison in the kernel-diff stage.
+        from repro.kernels import directory
+
+        original = directory.try_replay
+
+        def skewed(machine, packed, final_state=True):
+            result = original(machine, packed, final_state)
+            if result is not None and not final_state:
+                machine.stats.data += 1
+            return result
+
+        monkeypatch.setattr(directory, "try_replay", skewed)
+        failure = oracle.run_case(generate_case(3, "kernel"))
+        assert failure is not None
+        assert failure.stage == "kernel-diff"
+        assert failure.engine.startswith("directory-stats-only[")
+        assert "data: generic=" in failure.detail
