@@ -66,9 +66,10 @@ EVICT_CFG = MachineConfig(num_procs=16,
 STREAM_CFG = MachineConfig(num_procs=16,
                            cache=CacheConfig(size_bytes=None, block_size=16))
 
-#: Chunk sizes for the streaming determinism pass (one splits blocks'
-#: access sequences mid-stream, one is a few large segments).
-STREAM_CHUNKS = (257, 4096)
+#: Chunk sizes for the streaming determinism pass (one access per
+#: segment, one splits blocks' access sequences mid-stream, one is a few
+#: large segments).
+STREAM_CHUNKS = (1, 257, 4096)
 
 
 def _trace():

@@ -24,8 +24,12 @@ each replay is audited three ways:
    must be exactly equal to the checked generic replay's.  The same
    stage replays the case once more through the stats-only entry
    (``replay_counters``), whose counters must equal the checked
-   replay's too.  This stage also covers the update-family snooping
-   protocols, which the invariant/SC stages exclude.
+   replay's too, and — for infinite-cache cases — once through the
+   streaming backend (:func:`repro.kernels.streaming.replay_stream`) in
+   segments short enough to split every block's accesses, whose stats
+   and final state must equal the checked replay's.  This stage also
+   covers the update-family snooping protocols, which the
+   invariant/SC stages exclude.
 
 The first discrepancy is reported as a :class:`CaseFailure` naming the
 stage, the engine, and the detail; ``None`` means the case is clean.
@@ -71,6 +75,10 @@ FAMILY_DIRECTORY_MACHINES = tuple(
 DEFAULT_SNOOP_FACTORIES: tuple[Callable[[], SnoopingProtocol], ...] = tuple(
     fam.factory for fam in families.bus_families() if fam.oracle == "full"
 )
+
+#: Segment length of the kernel-diff stage's streamed replay: short
+#: enough that most blocks' accesses span several segments.
+STREAM_CHUNK = 3
 
 #: Snooping protocol factories audited by the kernel-diff stage only.
 #: The pure-update family is excluded from the invariant/SC stages
@@ -202,6 +210,29 @@ def _directory_pairs(a, b) -> list[tuple[str, object, object]]:
     ]
 
 
+def _directory_state_pairs(a, b) -> list[tuple[str, object, object]]:
+    """Final-state comparison triples for two directory machines."""
+    return [
+        ("transitions", a.protocol.transitions, b.protocol.transitions),
+        ("entries", _directory_entries(a), _directory_entries(b)),
+        ("lines", _final_lines(a), _final_lines(b)),
+    ]
+
+
+def _streamed(machine, case: FuzzCase, label: str):
+    """``machine`` after a streamed replay of ``case``, or None when the
+    case has finite caches (outside the streaming envelope)."""
+    if case.cache_size is not None:
+        return None
+    # Imported here, like the machines import their kernels, so loading
+    # the oracle (the model checker does) does not load the kernels.
+    from repro.kernels.streaming import replay_stream
+
+    with span("conformance.replay", engine=label, stage="stream"):
+        replay_stream(machine, case.trace.pack(), STREAM_CHUNK)
+    return machine
+
+
 def _snooping_pairs(a, b) -> list[tuple[str, object, object]]:
     """Statistic comparison triples for two bus machines (or a machine
     and a stats-only replay's counters)."""
@@ -263,13 +294,7 @@ def _run_directory(
         kernel.run(case.trace)
     diff = _diff_fields(
         _directory_pairs(checked, kernel)
-        + [
-            ("transitions", checked.protocol.transitions,
-             kernel.protocol.transitions),
-            ("entries", _directory_entries(checked),
-             _directory_entries(kernel)),
-            ("lines", _final_lines(checked), _final_lines(kernel)),
-        ]
+        + _directory_state_pairs(checked, kernel)
     )
     if diff is not None:
         return CaseFailure("kernel-diff", f"directory-kernel[{policy.name}]",
@@ -285,6 +310,17 @@ def _run_directory(
     if diff is not None:
         return CaseFailure("kernel-diff",
                            f"directory-stats-only[{policy.name}]", diff)
+    stream = _streamed(machine_factory(config, policy, check=False), case,
+                       label)
+    if stream is not None:
+        diff = _diff_fields(
+            _directory_pairs(checked, stream)
+            + _directory_state_pairs(checked, stream),
+            labels=("generic", "stream"),
+        )
+        if diff is not None:
+            return CaseFailure("kernel-diff",
+                               f"directory-stream[{policy.name}]", diff)
     return None
 
 
@@ -347,6 +383,17 @@ def _snooping_kernel_diff(
     if diff is not None:
         return CaseFailure("kernel-diff",
                            f"bus-stats-only[{protocol.name}]", diff)
+    stream = _streamed(machine_factory(config, protocol_factory(),
+                                       check=False), case, label)
+    if stream is not None:
+        diff = _diff_fields(
+            _snooping_pairs(baseline, stream)
+            + [("lines", _final_lines(baseline), _final_lines(stream))],
+            labels=("generic", "stream"),
+        )
+        if diff is not None:
+            return CaseFailure("kernel-diff",
+                               f"bus-stream[{protocol.name}]", diff)
     return None
 
 

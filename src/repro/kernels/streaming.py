@@ -12,20 +12,21 @@ and the replay keeps only
 
 * one DFA node reference per *block seen so far* — the block's current
   machine state, exactly what the machine itself must hold — and
-* O(chunk) transient state per fed segment (that segment's per-block
-  symbol runs and delta lists).
+* O(chunk) transient state per fed segment (one interned delta index
+  per access).
 
-Statistics merge deterministically: every per-segment walk yields
-integer delta totals, and integer addition is order-independent, so a
-replay fed in 1-access segments produces byte-identical stats and final
-machine state to the batch kernel and to the generic loop.
-
-Blocks making their first appearance start at the DFA root and reuse
-the batch kernels' per-sequence result caches; continuation walks (a
-block spanning segments) resume from the stored node.  ``finish()``
-writes the accumulated totals and final per-block states through the
-batch kernels' own ``_apply_counters``/``_apply_final`` helpers, so
-the two backends cannot drift.
+Each segment is walked once in program order: every access looks up
+its block's current node (the DFA root of the block's home on first
+sight), follows the edge for its ``proc * 2 + is_write`` symbol
+(growing it with the batch kernels' own ``_expand`` when missing), and
+records the edge's delta index.  The segment's indices are summed once
+with the batch kernels' ``_aggregate``.  Statistics merge
+deterministically — integer addition is order-independent — so a
+replay fed in 1-access segments produces byte-identical stats and
+final machine state to the batch kernel and to the generic loop.
+``finish()`` writes the accumulated totals and final per-block states
+through the batch kernels' own ``_apply_counters``/``_apply_final``
+helpers, so the two backends cannot drift.
 
 The streaming envelope is the batch envelope minus finite caches:
 replacement needs the set's *global* conflict structure, which a
@@ -52,6 +53,17 @@ from repro.system.placement import FirstTouchPlacement
 def _unsupported(engine: str, reason: str):
     """Raise the constructor-contract error for an ineligible machine."""
     raise KernelUnsupported(f"{engine}: {reason}")
+
+
+def _check_symbols(engine: str, packed) -> None:
+    """Refuse a segment whose symbols would index outside a DFA node.
+
+    A negative processor id or write flag would index a node's list
+    from the end instead of failing, so it is caught here, once per
+    segment, with C-level scans.
+    """
+    if min(packed.procs, default=0) < 0 or min(packed.ops, default=0) < 0:
+        _unsupported(engine, "symbol-range")
 
 
 class DirectoryStreamReplay:
@@ -116,16 +128,26 @@ class DirectoryStreamReplay:
         except KernelUnsupported:
             _unsupported(self.ENGINE, "table-unsupported")
         self.machine = machine
-        self._wide = config.num_procs > 128
         self._root_key = self._table.rows.initial_state << (2 * config.num_procs)
-        #: block -> (home, current DFA node) for every block seen so far.
-        self._nodes: dict[int, tuple[int, list]] = {}
+        #: block -> current DFA node for every block seen so far.
+        self._nodes: dict[int, list] = {}
         if self._first_touch:
             self._homes = dict(placement._homes)
             self._new_homes: dict[int, int] = {}
         self._totals = [0] * dkernel._VEC
         self._inv_sizes: dict[int, int] = {}
         self._finished = False
+
+    def _home(self, page: int, proc: int) -> int:
+        """``page``'s home node; an unplaced first-touch page goes to ``proc``."""
+        if not self._first_touch:
+            return self.machine.placement.home(page, 0)
+        home = self._homes.get(page)
+        if home is None:
+            # A fresh machine's first access to a page is always a miss,
+            # so first-touch homes the page at the accessing processor.
+            home = self._homes[page] = self._new_homes[page] = proc
+        return home
 
     def feed(self, packed) -> None:
         """Replay one trace segment's accesses (no machine mutation)."""
@@ -134,56 +156,39 @@ class DirectoryStreamReplay:
         machine = self.machine
         if packed.num_procs > machine.config.num_procs:
             _unsupported(self.ENGINE, "trace-procs")
-        wide = self._wide
-        try:
-            if wide:
-                seqs = packed.block_sequences_wide(machine._block_shift)
-            else:
-                seqs = packed.block_sequences(machine._block_shift)
-        except (ValueError, OverflowError):
-            _unsupported(self.ENGINE, "symbol-range")
+        _check_symbols(self.ENGINE, packed)
         table = self._table
         node_of = table.node
+        expand = dkernel._expand
+        shift = machine._block_shift
         home_shift = machine._home_shift
-        placement = machine.placement
         root_key = self._root_key
         nodes = self._nodes
+        get = nodes.get
+        out: list[int] = []
+        append = out.append
+        for proc, is_write, addr in zip(packed.procs, packed.ops, packed.addrs):
+            block = addr >> shift
+            node = get(block)
+            if node is None:
+                home = self._home(block >> home_shift, proc)
+                node = node_of((home, root_key), root_key)
+            sym = proc * 2 + is_write
+            edge = node[sym]
+            if edge is None:
+                # Nodes live in their home's sub-DFA, so the home is
+                # needed again only to grow a missing edge.
+                edge = expand(table, self._home(block >> home_shift, proc),
+                              node, sym)
+            append(edge[1])
+            nodes[block] = edge[0]
+        vec, inv = dkernel._aggregate(table, out)
         totals = self._totals
+        for i, v in enumerate(vec):
+            totals[i] += v
         inv_sizes = self._inv_sizes
-        for block, seq in seqs.items():
-            known = nodes.get(block)
-            if known is None:
-                page = block >> home_shift
-                if self._first_touch:
-                    home = self._homes.get(page)
-                    if home is None:
-                        # First access to the page: a fresh machine's
-                        # first access is always a miss, so the home is
-                        # the first symbol's processor.
-                        sym0 = (seq[0] | seq[1] << 8) if wide else seq[0]
-                        home = sym0 >> 1
-                        self._homes[page] = self._new_homes[page] = home
-                else:
-                    home = placement.home(page, 0)
-                # A root-start walk is exactly a batch per-block walk,
-                # so it shares the batch per-sequence result cache.
-                seq_key = (home, seq, 1) if wide else (home, seq)
-                result = table.seq_results.get(seq_key)
-                if result is None:
-                    root = node_of((home, root_key), root_key)
-                    syms = memoryview(seq).cast("H") if wide else seq
-                    result = dkernel._walk(table, home, root, syms)
-                    table.cache_seq_result(seq_key, result)
-            else:
-                home, node = known
-                syms = memoryview(seq).cast("H") if wide else seq
-                result = dkernel._walk(table, home, node, syms)
-            vec, inv, final_key = result
-            for i, v in enumerate(vec):
-                totals[i] += v
-            for size, count in inv:
-                inv_sizes[size] = inv_sizes.get(size, 0) + count
-            nodes[block] = (home, node_of((home, final_key), final_key))
+        for size, count in inv:
+            inv_sizes[size] = inv_sizes.get(size, 0) + count
 
     def finish(self):
         """Write the accumulated replay into the machine; return stats."""
@@ -198,7 +203,7 @@ class DirectoryStreamReplay:
                 "observations are unreliable; install it before feeding "
                 "to take the generic per-access path"
             )
-        finals = [(block, hn[1][-1]) for block, hn in self._nodes.items()]
+        finals = [(block, node[-1]) for block, node in self._nodes.items()]
         dkernel._apply_counters(machine, self._totals, self._inv_sizes)
         dkernel._apply_final(machine, finals)
         if self._first_touch and self._new_homes:
@@ -211,8 +216,8 @@ class BusStreamReplay:
     """Incremental table-driven replay for a ``BusMachine``.
 
     Same shape as :class:`DirectoryStreamReplay`; bus charges carry no
-    home node or invalidation sizes, so the per-block state is just the
-    current DFA node.
+    home node or invalidation sizes, so every block starts at the one
+    DFA root.
     """
 
     ENGINE = "bus-stream"
@@ -249,7 +254,6 @@ class BusStreamReplay:
         except (KernelUnsupported, ProtocolError):
             _unsupported(self.ENGINE, "table-unsupported")
         self.machine = machine
-        self._wide = config.num_procs > 128
         #: block -> current DFA node for every block seen so far.
         self._nodes: dict[int, list] = {}
         self._totals = [0] * snooping._VEC
@@ -262,35 +266,27 @@ class BusStreamReplay:
         machine = self.machine
         if packed.num_procs > machine.config.num_procs:
             _unsupported(self.ENGINE, "trace-procs")
-        wide = self._wide
-        try:
-            if wide:
-                seqs = packed.block_sequences_wide(machine._block_shift)
-            else:
-                seqs = packed.block_sequences(machine._block_shift)
-        except (ValueError, OverflowError):
-            _unsupported(self.ENGINE, "symbol-range")
+        _check_symbols(self.ENGINE, packed)
         table = self._table
-        node_of = table.node
+        expand = snooping._expand
+        shift = machine._block_shift
+        root = table.node(0, 0)
         nodes = self._nodes
+        get = nodes.get
+        out: list[int] = []
+        append = out.append
+        for proc, is_write, addr in zip(packed.procs, packed.ops, packed.addrs):
+            block = addr >> shift
+            node = get(block, root)
+            sym = proc * 2 + is_write
+            edge = node[sym]
+            if edge is None:
+                edge = expand(table, node, sym)
+            append(edge[1])
+            nodes[block] = edge[0]
         totals = self._totals
-        for block, seq in seqs.items():
-            node = nodes.get(block)
-            if node is None:
-                seq_key = (seq, 1) if wide else seq
-                result = table.seq_results.get(seq_key)
-                if result is None:
-                    root = node_of(0, 0)
-                    syms = memoryview(seq).cast("H") if wide else seq
-                    result = snooping._walk(table, root, syms)
-                    table.cache_seq_result(seq_key, result)
-            else:
-                syms = memoryview(seq).cast("H") if wide else seq
-                result = snooping._walk(table, node, syms)
-            vec, final_key = result
-            for i, v in enumerate(vec):
-                totals[i] += v
-            nodes[block] = node_of(final_key, final_key)
+        for i, v in enumerate(snooping._aggregate(table, out)):
+            totals[i] += v
 
     def finish(self):
         """Write the accumulated replay into the machine; return stats."""

@@ -5,6 +5,7 @@ import pytest
 from repro.conformance import bugs
 from repro.conformance.fuzzer import PROFILES, generate_case
 from repro.conformance.oracle import CaseFailure, SCReference, run_case
+from repro.kernels.streaming import BusStreamReplay, DirectoryStreamReplay
 
 
 class TestCleanEngines:
@@ -51,6 +52,29 @@ class TestFaultInjection:
         failure = run_case(case, **bugs.engine_overrides("kernel-skew"))
         assert failure is not None
         assert failure.stage == "kernel-diff"
+        assert "read_hits" in failure.detail
+
+    @pytest.mark.parametrize("replay_cls, prefix", [
+        (DirectoryStreamReplay, "directory-stream["),
+        (BusStreamReplay, "bus-stream["),
+    ])
+    def test_stream_stat_skew_caught(self, monkeypatch, replay_cls, prefix):
+        # Every segment's feed credits one phantom read hit; the batch
+        # kernel and stats-only replays stay correct, so only the
+        # streamed replay can expose it.
+        feed = replay_cls.feed
+
+        def skewed(self, packed):
+            feed(self, packed)
+            self._totals[0] += 1
+
+        monkeypatch.setattr(replay_cls, "feed", skewed)
+        case = generate_case(0, "kernel")
+        assert case.cache_size is None
+        failure = run_case(case)
+        assert failure is not None
+        assert failure.stage == "kernel-diff"
+        assert failure.engine.startswith(prefix)
         assert "read_hits" in failure.detail
 
     def test_snoop_dropped_invalidation_caught(self):

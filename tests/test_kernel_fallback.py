@@ -9,6 +9,7 @@ envelope gaps, not traffic.
 """
 
 import logging
+from array import array
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.snooping.machine import BusMachine
 from repro.snooping.protocols import MesiProtocol
 from repro.system.machine import DirectoryMachine
 from repro.trace.core import Trace
+from repro.trace.packed import PackedTrace
 
 NUM_PROCS = 4
 
@@ -220,6 +222,25 @@ class TestReasons:
             assert counters.invalidation_sizes == checked.invalidation_sizes
             assert counters.transitions == checked.protocol.transitions
         assert counters.cache_stats == checked.cache_stats
+
+    @pytest.mark.parametrize("engine, make", [
+        ("directory", lambda config: DirectoryMachine(config, BASIC)),
+        ("bus", lambda config: BusMachine(config, MesiProtocol())),
+    ])
+    def test_negative_processor_id_is_symbol_range(self, engine, make):
+        # Processor -1 has no symbol, so the batch split refuses it.
+        packed = PackedTrace(array("q", [0, 1, -1, 2, 0]),
+                             array("b", [0, 1, 0, 1, 0]),
+                             array("q", [0, 0, 16, 0, 16]))
+        machine = make(_config())
+        machine.run(packed)
+        assert registry.fallbacks == {(engine, "symbol-range"): 1}
+        assert not registry.engagements
+        reference = make(_config())
+        with registry.disabled():
+            reference.run(packed)
+        assert machine.cache_stats == reference.cache_stats
+        assert machine.cache_stats.accesses == len(packed)
 
     def test_bus_not_fresh(self):
         machine = BusMachine(_config(), MesiProtocol())

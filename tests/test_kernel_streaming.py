@@ -25,6 +25,7 @@ import pytest
 
 from repro.common.config import CacheConfig, MachineConfig
 from repro.common.errors import ProtocolError
+from repro.common.stats import BusStats, CacheStats, MessageStats
 from repro.directory.policy import AGGRESSIVE, BASIC
 from repro.kernels import registry
 from repro.kernels.streaming import (
@@ -43,7 +44,7 @@ from repro.trace.packed import PackedTrace
 
 NUM_PROCS = 6
 
-CHUNK_SIZES = (64, 997, 4096)
+CHUNK_SIZES = (1, 64, 997, 4096)
 
 
 def _packed():
@@ -55,6 +56,13 @@ def _packed():
                                  seed=22)],
         chunk=5, seed=23)
     return trace.pack()
+
+
+def _negative_proc_packed(procs=(0, 1, -1, 2, 0), ops=(0, 1, 0, 1, 0)):
+    # Processor -1 (or processor 0 with write flag -1) would index a DFA
+    # node's edge list from the end.
+    return PackedTrace(array("q", procs), array("b", ops),
+                       array("q", [0, 0, 16, 0, 16]))
 
 
 def _config(num_procs=NUM_PROCS):
@@ -254,4 +262,43 @@ class TestEnvelope:
         machine = DirectoryMachine(config, BASIC)
         replay_stream(machine, packed)
         assert registry.fallbacks[("directory-stream", "finite-cache")] == 1
+        assert _dir_state(machine) == _dir_state(reference)
+
+    @pytest.mark.parametrize("bad", [
+        {},
+        {"procs": (0, 1, 0, 2, 0), "ops": (0, 1, -1, 1, 0)},
+    ], ids=["proc", "write-flag"])
+    def test_negative_processor_id_raises_symbol_range(self, bad):
+        machine = DirectoryMachine(_config(), BASIC)
+        replay = DirectoryStreamReplay(machine)
+        replay.feed(_packed())
+        with pytest.raises(KernelUnsupported,
+                           match="directory-stream: symbol-range"):
+            replay.feed(_negative_proc_packed(**bad))
+        assert machine.stats == MessageStats()
+        assert machine.cache_stats == CacheStats()
+        assert not machine.protocol.entries
+        assert not any(len(cache) for cache in machine.caches)
+
+    def test_bus_negative_processor_id_raises_symbol_range(self):
+        machine = BusMachine(_config(), MesiProtocol())
+        replay = BusStreamReplay(machine)
+        replay.feed(_packed())
+        with pytest.raises(KernelUnsupported, match="bus-stream: symbol-range"):
+            replay.feed(_negative_proc_packed())
+        assert machine.bus_stats == BusStats()
+        assert machine.cache_stats == CacheStats()
+        assert not any(len(cache) for cache in machine.caches)
+
+    def test_replay_stream_symbol_range_falls_back_identically(self):
+        # Chunk 2 feeds one clean segment before the bad one, so the
+        # fallback starts from a replay that was already under way.
+        packed = _negative_proc_packed()
+        reference = DirectoryMachine(_config(), BASIC)
+        with registry.disabled():
+            reference.run(packed)
+        registry.fallbacks.clear()
+        machine = DirectoryMachine(_config(), BASIC)
+        replay_stream(machine, packed, chunk=2)
+        assert registry.fallbacks[("directory-stream", "symbol-range")] == 1
         assert _dir_state(machine) == _dir_state(reference)
