@@ -24,7 +24,6 @@ setup(
             "repro-fuzz=repro.conformance.cli:main",
             "repro-stats=repro.telemetry.cli:main",
             "repro-serve=repro.service.cli:main",
-            "repro-cluster=repro.service.cluster:main",
             "repro-verify=repro.verification.cli:main",
         ]
     },

@@ -38,7 +38,7 @@ Layout and knobs mirror the trace cache:
 * Entries are single JSON files written via temp-file + atomic rename;
   a corrupted or truncated entry is a **miss, never an error**.
 
-A small in-memory layer fronts the disk so a sweep that revisits a key
+An unbounded in-process dict fronts the disk so a sweep that revisits a key
 within one process never re-reads the file.  Hit/miss/store totals are
 kept in module counters (:func:`counts`) and, when a telemetry session
 is active, mirrored to the ``repro_result_cache_requests_total`` metric.
@@ -51,7 +51,7 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import Counter, OrderedDict
+from collections import Counter
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -82,72 +82,10 @@ _ENGINE_PACKAGES = (
 _engine_tag: str | None = None
 
 
-class MemoryLru:
-    """A bounded in-memory cache tier: key -> encoded payload.
-
-    This is the *tier interface* the cluster router stacks on top of
-    the shards' shared on-disk store: ``get``/``put``/``__len__``/
-    ``clear`` plus hit/miss counters.  ``capacity=None`` means
-    unbounded (the module's own in-process front below); a bounded tier
-    evicts least-recently-used entries, and every ``get`` hit refreshes
-    recency, so a zipf head pins itself resident while the tail cycles
-    through.
-    """
-
-    __slots__ = ("capacity", "_entries", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("MemoryLru capacity must be >= 1 or None")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: str):
-        """The payload under ``key``, or None (counts the lookup)."""
-        payload = self._entries.get(key)
-        if payload is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return payload
-
-    def put(self, key: str, payload) -> None:
-        """Record ``payload``; evicts the LRU entry past capacity."""
-        self._entries[key] = payload
-        self._entries.move_to_end(key)
-        if self.capacity is not None and len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> dict:
-        """Counter snapshot (``/v1/cluster/status`` renders this)."""
-        return {
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
 #: In-memory front: key -> encoded payload (decoded fresh per fetch so
 #: callers can never mutate a cached object in place).  Unbounded: one
-#: process's working set of distinct replays is small; bounded tiers
-#: (the cluster router's) construct their own :class:`MemoryLru`.
-_memory = MemoryLru()
+#: process's working set of distinct replays is small.
+_memory: dict[str, object] = {}
 
 _counts = {"hits": 0, "misses": 0, "stores": 0}
 
@@ -299,13 +237,13 @@ def fetch(key: str):
     except (OSError, ValueError):
         # Missing, unreadable, truncated or corrupted: all misses.
         return None
-    _memory.put(key, payload)
+    _memory[key] = payload
     return payload
 
 
 def store(key: str, payload) -> None:
     """Record ``payload`` under ``key`` (best-effort on disk)."""
-    _memory.put(key, payload)
+    _memory[key] = payload
     path = _path(key)
     if path is None:
         return

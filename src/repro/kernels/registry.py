@@ -52,7 +52,7 @@ def record_fallback(engine: str, reason: str) -> None:
 
     Every ``try_replay`` gate routes through here: the module counter
     feeds tests and ``counts()``-style introspection, the ambient
-    telemetry counter feeds ``/metrics`` on a serving shard, and the
+    telemetry counter feeds ``repro-serve``'s ``/metrics``, and the
     debug log line names the reason for operators chasing a throughput
     regression back to an envelope gap.
     """

@@ -58,11 +58,12 @@ def _unsupported(engine: str, reason: str):
 def _check_symbols(engine: str, packed) -> None:
     """Refuse a segment whose symbols would index outside a DFA node.
 
-    A negative processor id or write flag would index a node's list
-    from the end instead of failing, so it is caught here, once per
-    segment, with C-level scans.
+    A negative processor id would index a node's list from the end
+    instead of failing, so it is caught here, once per segment, with a
+    C-level scan.  Write flags need no check: :class:`PackedTrace`
+    admits only 0 and 1.
     """
-    if min(packed.procs, default=0) < 0 or min(packed.ops, default=0) < 0:
+    if min(packed.procs, default=0) < 0:
         _unsupported(engine, "symbol-range")
 
 

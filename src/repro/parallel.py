@@ -194,7 +194,7 @@ def shutdown_pool(wait: bool = False) -> None:
             processes are reaped before the call returns — the
             graceful path a draining server takes so a replay still
             executing in a worker is finished, not killed, and no
-            orphan processes outlive the shard.
+            orphan processes outlive the server.
     """
     global _POOL, _POOL_WORKERS
     with _POOL_LOCK:

@@ -220,12 +220,11 @@ class ServiceClient:
         """Replay with bounded retries.
 
         A 429 (:class:`Backpressure`) sleeps the server-provided
-        ``Retry-After`` and retries; a 503 (:class:`Draining`) — e.g.
-        from a rolling restart racing this client — retries after
-        ``drain_backoff`` only when ``retry_draining`` is set, since a
-        solo server that answers 503 is going away, while a cluster
-        router answering 503 is usually mid-transition.  The last
-        attempt's error propagates either way, so retries are bounded.
+        ``Retry-After`` and retries; a 503 (:class:`Draining`) retries
+        after ``drain_backoff`` only when ``retry_draining`` is set,
+        since a server that answers 503 is draining and usually going
+        away.  The last attempt's error propagates either way, so
+        retries are bounded.
         """
         for attempt in range(attempts):
             try:
@@ -239,22 +238,6 @@ class ServiceClient:
                     raise
                 time.sleep(drain_backoff)
         raise AssertionError("unreachable")
-
-    def cluster_status(self) -> dict:
-        """``GET /v1/cluster/status`` (router deployments only)."""
-        status, headers, payload = self.request(
-            "GET", "/v1/cluster/status"
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
-
-    def cluster_restart(self) -> dict:
-        """``POST /v1/cluster/restart``: a rolling, lossless restart."""
-        status, headers, payload = self.request(
-            "POST", "/v1/cluster/restart", {}
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
 
     def wait_ready(self, timeout: float = 30.0,
                    interval: float = 0.1) -> dict:
@@ -389,22 +372,6 @@ class AsyncServiceClient:
                     raise
                 await asyncio.sleep(drain_backoff)
         raise AssertionError("unreachable")
-
-    async def cluster_status(self) -> dict:
-        """``GET /v1/cluster/status`` (router deployments only)."""
-        status, headers, payload = await self.request(
-            "GET", "/v1/cluster/status"
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
-
-    async def cluster_restart(self) -> dict:
-        """``POST /v1/cluster/restart``: a rolling, lossless restart."""
-        status, headers, payload = await self.request(
-            "POST", "/v1/cluster/restart", {}
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
 
 
 # ----------------------------------------------------------------------

@@ -8,14 +8,12 @@ regime the result cache and single-flight coalescing are built for.
 Reports throughput and p50/p99 latency; ``--output`` writes the
 machine-readable summary to ``BENCH_service.json``.
 
-Three modes::
+Two modes::
 
     python -m repro.service.loadgen --mode bench    [--output F] ...
     python -m repro.service.loadgen --mode ci-smoke [--output F]
-    python -m repro.service.loadgen --mode cluster-smoke [--output F]
 
-``bench`` spawns a fresh server (or, with ``--cluster-shards N``, a
-whole ``repro-cluster`` fleet) against an empty result cache, runs a
+``bench`` spawns a fresh server against an empty result cache, runs a
 cold pass and an identical warm pass, and records both.  ``--loop
 open`` switches from closed-loop concurrency to a fixed arrival rate
 (``--rate``/``--duration``), and ``--slo-p99-ms`` turns the warm pass
@@ -31,19 +29,7 @@ proves, from the outside, that
 * SIGTERM drains gracefully: every admitted request completes with a
   200 and the server exits 0.
 
-``cluster-smoke`` is the fleet acceptance harness, against a 3-shard
-``repro-cluster``:
-
-* **routing affinity** — repeats of one spec all forward to the same
-  shard (consistent-hash stability),
-* **cluster-wide single-flight** — N identical concurrent requests
-  cost exactly one execution *summed across every shard's metrics*,
-* **rolling restart** — ``POST /v1/cluster/restart`` under continuous
-  warm traffic completes with zero failed requests, and the warm key
-  is still a cache hit afterwards (the shared on-disk tier survives),
-* **drain** — SIGTERM completes every admitted request and exits 0.
-
-All modes spawn their own server subprocess on an ephemeral port with
+Both modes spawn their own server subprocess on an ephemeral port with
 a private result-cache directory, so runs are reproducible and never
 touch the user's cache.
 """
@@ -293,97 +279,6 @@ class ManagedServer:
         self.stop()
 
 
-class ManagedCluster:
-    """A ``repro-cluster`` subprocess (router + shard fleet).
-
-    Same contract as :class:`ManagedServer` — ephemeral router port
-    parsed from the ready line, private shared result-cache directory,
-    SIGTERM for the graceful rolling drain.
-    """
-
-    def __init__(self, shards: int = 3, max_queue: int = 64,
-                 jobs: int | None = 1, cache_dir: str | None = None,
-                 router_cache: int = 256, replicas: int = 2,
-                 hot_key_min: int = 8, hot_key_top: int = 4,
-                 extra_args: tuple[str, ...] = ()):
-        self.shards = shards
-        self.max_queue = max_queue
-        self.jobs = jobs
-        self.cache_dir = cache_dir
-        self.router_cache = router_cache
-        self.replicas = replicas
-        self.hot_key_min = hot_key_min
-        self.hot_key_top = hot_key_top
-        self.extra_args = extra_args
-        self.process: subprocess.Popen | None = None
-        self.port: int | None = None
-
-    def start(self, timeout: float = 180.0) -> None:
-        command = [
-            sys.executable, "-m", "repro.service.cluster",
-            "--port", "0", "--shards", str(self.shards),
-            "--max-queue", str(self.max_queue),
-            "--router-cache", str(self.router_cache),
-            "--replicas", str(self.replicas),
-            "--hot-key-min", str(self.hot_key_min),
-            "--hot-key-top", str(self.hot_key_top),
-            *self.extra_args,
-        ]
-        if self.jobs is not None:
-            command += ["--jobs", str(self.jobs)]
-        env = dict(os.environ)
-        if self.cache_dir is not None:
-            env["REPRO_RESULT_CACHE"] = self.cache_dir
-        self.process = subprocess.Popen(
-            command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True, env=env,
-        )
-        deadline = time.monotonic() + timeout
-        line = ""
-        while time.monotonic() < deadline:
-            line = self.process.stdout.readline()
-            if "routing http://" in line:
-                break
-            if self.process.poll() is not None:
-                raise RuntimeError("repro-cluster exited before ready")
-        else:
-            raise TimeoutError("repro-cluster never printed its ready line")
-        address = line.split("routing http://", 1)[1].split()[0]
-        self.port = int(address.rsplit(":", 1)[1])
-        ServiceClient("127.0.0.1", self.port).wait_ready(timeout=timeout)
-
-    def sigterm(self) -> None:
-        assert self.process is not None
-        self.process.send_signal(signal.SIGTERM)
-
-    def wait(self, timeout: float = 180.0) -> int:
-        assert self.process is not None
-        try:
-            return self.process.wait(timeout=timeout)
-        finally:
-            if self.process.stdout is not None:
-                self.process.stdout.close()
-
-    def stop(self) -> int:
-        """SIGTERM + wait (the graceful path); kill on timeout."""
-        if self.process is None:
-            return 0
-        if self.process.poll() is None:
-            self.sigterm()
-        try:
-            return self.wait()
-        except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
-            self.process.kill()
-            return self.process.wait()
-
-    def __enter__(self) -> "ManagedCluster":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
 # ----------------------------------------------------------------------
 # The smoke checks (the acceptance criteria, verified from outside)
 # ----------------------------------------------------------------------
@@ -498,143 +393,6 @@ async def check_drain(server: ManagedServer, inflight: int = 4) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Cluster smoke checks (the fleet acceptance criteria, from outside)
-# ----------------------------------------------------------------------
-
-async def check_cluster_affinity(port: int, repeats: int = 4) -> dict:
-    """Repeats of one spec all forward to one shard.
-
-    Runs first (forward counters must start at zero) on a cluster with
-    the router cache disabled, with fewer repeats than the hot-key
-    floor so replication cannot legitimately spread the key.
-    """
-    client = AsyncServiceClient("127.0.0.1", port)
-    spec = {"engine": "directory", "app": "water", "policy": "basic",
-            "cache_size": 48 * 1024, "scale": SMOKE_SCALE}
-    for _ in range(repeats):
-        await client.replay(**spec)
-    status = await client.cluster_status()
-    owners = [s for s in status["shards"] if s["forwards"] > 0]
-    _check(len(owners) == 1,
-           f"expected one owning shard for a repeated spec, forwards "
-           f"landed on {[s['name'] for s in owners]}")
-    _check(owners[0]["forwards"] == repeats,
-           f"owning shard saw {owners[0]['forwards']} forwards, "
-           f"expected {repeats}")
-    return {"repeats": repeats, "owner": owners[0]["name"]}
-
-
-async def check_cluster_single_flight(port: int, fanout: int = 8) -> dict:
-    """N identical concurrent requests -> one execution, fleet-wide.
-
-    The execution count is summed across every shard's metrics via the
-    router's combined exposition, so coalescing is proven cluster-wide,
-    not per-shard.
-    """
-    client = AsyncServiceClient("127.0.0.1", port)
-    spec = {"engine": "directory", "app": "water", "policy": "aggressive",
-            "cache_size": 40 * 1024, "scale": SMOKE_SCALE}
-    before = metric_value(await client.metrics(),
-                          "repro_service_executions_total",
-                          kind="directory")
-    responses = await asyncio.gather(
-        *(client.replay(**spec) for _ in range(fanout))
-    )
-    results = [r["result"] for r in responses]
-    _check(all(r == results[0] for r in results),
-           "coalesced cluster responses disagree")
-    samples = await client.metrics()
-    after = metric_value(samples, "repro_service_executions_total",
-                         kind="directory")
-    executed = after - before
-    _check(executed == 1,
-           f"expected exactly 1 fleet-wide execution for {fanout} "
-           f"identical requests, shard metrics report {executed}")
-    leaders = metric_value(samples, "repro_cluster_singleflight_total",
-                           role="leader")
-    followers = metric_value(samples, "repro_cluster_singleflight_total",
-                             role="follower")
-    _check(leaders >= 1, "router recorded no single-flight leader")
-    return {"fanout": fanout, "executed": int(executed),
-            "router_followers": int(followers)}
-
-
-async def check_cluster_restart(port: int) -> dict:
-    """Rolling restart under load: zero failures, warm keys survive."""
-    # The restart request spans every shard's stop/spawn/ready cycle;
-    # give it headroom beyond the per-request default.
-    client = AsyncServiceClient("127.0.0.1", port, timeout=180.0)
-    warm_spec = {"engine": "directory", "app": "water", "policy": "basic",
-                 "cache_size": 48 * 1024, "scale": SMOKE_SCALE}
-    # Warm the key (it is already cached from the affinity check, but
-    # do not depend on check ordering).
-    await client.replay(**warm_spec)
-    outcomes: list[int] = []
-    running = True
-
-    async def traffic() -> None:
-        while running:
-            try:
-                status, _, _ = await client.replay_raw(**warm_spec)
-            except (OSError, asyncio.TimeoutError):
-                outcomes.append(-1)
-            else:
-                outcomes.append(status)
-            await asyncio.sleep(0.05)
-
-    task = asyncio.ensure_future(traffic())
-    try:
-        report = await client.cluster_restart()
-    finally:
-        running = False
-        await task
-    _check(report["ok"], f"rolling restart reported failure: {report}")
-    _check(len(report["shards"]) >= 2, "restart touched fewer shards "
-           "than the fleet holds")
-    _check(bool(outcomes), "no traffic observed during the restart")
-    failed = [status for status in outcomes if status != 200]
-    _check(not failed,
-           f"{len(failed)} request(s) failed during the rolling restart "
-           f"(statuses: {sorted(set(failed))}); expected zero")
-    # Every shard's in-memory state is gone; the shared on-disk tier
-    # must still answer the warm key as a hit.
-    survivor = await client.replay(**warm_spec)
-    _check(survivor["cached"] is True,
-           "warm key was not a cache hit after the rolling restart")
-    status = await client.cluster_status()
-    restarts = sum(s["restarts"] for s in status["shards"])
-    _check(restarts >= len(status["shards"]),
-           f"expected every shard restarted, counters say {restarts}")
-    return {"requests_during_restart": len(outcomes), "failed": 0,
-            "warm_hit_after_restart": True,
-            "shards_restarted": len(report["shards"])}
-
-
-async def check_cluster_drain(cluster: ManagedCluster,
-                              inflight: int = 4) -> dict:
-    """SIGTERM the router mid-flight: admitted requests complete, the
-    rolling shard drain loses nothing, and the process exits 0."""
-    client = AsyncServiceClient("127.0.0.1", cluster.port)
-    tasks = [
-        asyncio.ensure_future(client.replay(
-            engine="directory", app="water", policy="conservative",
-            cache_size=(56 + i) * 1024, scale=SMOKE_SCALE,
-        ))
-        for i in range(inflight)
-    ]
-    await asyncio.sleep(0.3)
-    cluster.sigterm()
-    responses = await asyncio.gather(*tasks)
-    _check(all(r["type"] == "replay" for r in responses),
-           "an admitted request did not complete during cluster drain")
-    exit_code = cluster.wait()
-    _check(exit_code == 0,
-           f"cluster exited {exit_code} after graceful drain")
-    return {"inflight": inflight, "completed": len(responses),
-            "exit_code": exit_code}
-
-
-# ----------------------------------------------------------------------
 # Modes
 # ----------------------------------------------------------------------
 
@@ -667,16 +425,8 @@ def _bench_passes_open(port: int, rate_rps: float, duration_s: float,
 def run_bench(args) -> dict:
     """The ``bench`` mode body; returns the report dict."""
     with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as cache_dir:
-        if args.cluster_shards:
-            target = ManagedCluster(
-                shards=args.cluster_shards, max_queue=args.max_queue,
-                jobs=args.jobs, cache_dir=cache_dir,
-                router_cache=args.router_cache, replicas=args.replicas,
-            )
-        else:
-            target = ManagedServer(max_queue=args.max_queue,
-                                   jobs=args.jobs, cache_dir=cache_dir)
-        with target:
+        with ManagedServer(max_queue=args.max_queue, jobs=args.jobs,
+                           cache_dir=cache_dir) as target:
             if args.loop == "open":
                 cold, warm = _bench_passes_open(
                     target.port, args.rate, args.duration, args.zipf_s
@@ -694,7 +444,6 @@ def run_bench(args) -> dict:
             "zipf_s": args.zipf_s, "max_queue": args.max_queue,
             "jobs": args.jobs, "scale": SMOKE_SCALE,
             "loop": args.loop,
-            "cluster_shards": args.cluster_shards,
         },
         "cold": cold,
         "warm": warm,
@@ -756,44 +505,6 @@ def run_ci_smoke(args) -> dict:
     }
 
 
-def run_cluster_smoke(args) -> dict:
-    """The ``cluster-smoke`` mode body; raises SmokeFailure on any miss.
-
-    The fleet runs with the router cache tier *disabled* so that every
-    request reaches a shard — affinity and fleet-wide single-flight are
-    only observable at the shard level.
-    """
-    checks: dict = {}
-    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as cache_dir:
-        cluster = ManagedCluster(shards=3, max_queue=32, jobs=1,
-                                 cache_dir=cache_dir, router_cache=0,
-                                 replicas=2)
-        cluster.start()
-        try:
-            # Affinity first: forward counters are cumulative, so this
-            # must observe them from zero.
-            checks["affinity"] = asyncio.run(
-                check_cluster_affinity(cluster.port)
-            )
-            checks["single_flight"] = asyncio.run(
-                check_cluster_single_flight(cluster.port)
-            )
-            checks["rolling_restart"] = asyncio.run(
-                check_cluster_restart(cluster.port)
-            )
-            checks["drain"] = asyncio.run(check_cluster_drain(cluster))
-        finally:
-            cluster.stop()
-    return {
-        "benchmark": "repro.service load generator",
-        "mode": "cluster-smoke",
-        "config": {"shards": 3, "max_queue": 32, "jobs": 1,
-                   "router_cache": 0, "replicas": 2,
-                   "scale": SMOKE_SCALE},
-        "checks": checks,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     from repro.common.version import add_version_argument
@@ -805,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_version_argument(parser)
     parser.add_argument("--mode",
-                        choices=("bench", "ci-smoke", "cluster-smoke"),
+                        choices=("bench", "ci-smoke"),
                         default="bench")
     parser.add_argument("--requests", type=int, default=60,
                         help="requests per pass (default 60)")
@@ -832,22 +543,12 @@ def main(argv: list[str] | None = None) -> int:
                         "(default 64)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="server replay workers (default 1)")
-    parser.add_argument("--cluster-shards", type=int, default=0,
-                        help="bench against a repro-cluster fleet of "
-                        "this many shards (default 0 = single server)")
-    parser.add_argument("--router-cache", type=int, default=256,
-                        help="router cache entries for --cluster-shards "
-                        "benches (default 256)")
-    parser.add_argument("--replicas", type=int, default=2,
-                        help="hot-key replicas for --cluster-shards "
-                        "benches (default 2)")
     parser.add_argument("--output", type=Path, default=None,
                         help="write the JSON report here "
                         "(e.g. BENCH_service.json)")
     args = parser.parse_args(argv)
 
-    runners = {"bench": run_bench, "ci-smoke": run_ci_smoke,
-               "cluster-smoke": run_cluster_smoke}
+    runners = {"bench": run_bench, "ci-smoke": run_ci_smoke}
     try:
         report = runners[args.mode](args)
     except SmokeFailure as exc:
@@ -861,10 +562,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.mode == "ci-smoke":
         print("loadgen: ci-smoke PASS (single-flight dedup, 429 "
               "backpressure, graceful drain)", file=sys.stderr)
-    elif args.mode == "cluster-smoke":
-        print("loadgen: cluster-smoke PASS (routing affinity, "
-              "cluster-wide single-flight, lossless rolling restart, "
-              "graceful drain)", file=sys.stderr)
     return 0
 
 

@@ -418,24 +418,6 @@ def verify_response(request: VerifyRequest, certificate: dict,
     }
 
 
-def cluster_status_response(status: dict) -> dict:
-    """The ``GET /v1/cluster/status`` body (router-only endpoint)."""
-    return {"v": PROTOCOL_VERSION, "type": "cluster-status", **status}
-
-
-def cluster_restart_response(shards: list[dict], elapsed_ms: float
-                             ) -> dict:
-    """The ``POST /v1/cluster/restart`` body: one entry per shard in
-    restart order, each ``{"shard", "ok", ...}``."""
-    return {
-        "v": PROTOCOL_VERSION,
-        "type": "cluster-restart",
-        "ok": all(entry.get("ok") for entry in shards),
-        "elapsed_ms": round(elapsed_ms, 3),
-        "shards": shards,
-    }
-
-
 def error_response(message: str) -> dict:
     """A JSON error body (any non-2xx status)."""
     return {"v": PROTOCOL_VERSION, "type": "error", "error": message}

@@ -196,10 +196,10 @@ class CoherenceService:
             # is no longer awaiting, or work submitted moments before
             # SIGTERM) finishes rather than being cancelled by the
             # atexit hook's non-waiting shutdown, and the worker
-            # processes are reaped before the shard process exits —
-            # the shard supervisor never sees orphans.  Runs on a
-            # thread: Executor.shutdown(wait=True) blocks on worker
-            # exit and must not stall the event loop mid-drain.
+            # processes are reaped before the server exits — no
+            # orphans outlive it.  Runs on a thread:
+            # Executor.shutdown(wait=True) blocks on worker exit and
+            # must not stall the event loop mid-drain.
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: shutdown_pool(wait=True)
             )

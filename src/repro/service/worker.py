@@ -70,10 +70,8 @@ def replay_cache_parts(spec: ReplaySpec, trace_digest: str) -> tuple[str, tuple]
 #: Fault/latency-injection seam: a positive value sleeps that many
 #: milliseconds inside every replay execution.  Environment-keyed so it
 #: crosses into spawned pool workers; used by the drain regression test
-#: (a provably in-flight pool job at SIGTERM time) and the cluster
-#: benchmark's slot-bound series (a modelled service time that makes
-#: per-shard execution capacity, not this host's core count, the
-#: bottleneck).  Unset in production: the check is one getenv.
+#: (a provably in-flight pool job at SIGTERM time).  Unset in
+#: production: the check is one getenv.
 INJECT_DELAY_ENV = "REPRO_SERVICE_INJECT_DELAY_MS"
 
 

@@ -394,84 +394,6 @@ def merge_dicts(payloads: Iterable[Mapping]) -> MetricsRegistry:
     return registry
 
 
-# ----------------------------------------------------------------------
-# Exposition-text aggregation (the cluster router's /metrics)
-# ----------------------------------------------------------------------
-
-#: Histogram sample suffixes (their family is the base name).
-_HISTOGRAM_SUFFIXES = ("_bucket", "_count", "_sum")
-
-
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _inject_label(sample: str, label: str, value: str) -> str:
-    """Add ``label="value"`` to one exposition sample line."""
-    body = f'{label}="{_escape_label(value)}"'
-    name_part, _, value_part = sample.rpartition(" ")
-    if "{" in name_part:
-        name, _, rest = name_part.partition("{")
-        return f"{name}{{{body},{rest} {value_part}"
-    return f"{name_part}{{{body}}} {value_part}"
-
-
-def combine_prometheus_texts(parts: Iterable[tuple[str, str]],
-                             label: str = "shard") -> str:
-    """Aggregate several Prometheus expositions into one.
-
-    ``parts`` is an iterable of ``(label_value, exposition_text)``
-    pairs — one per shard of a fleet, plus the router's own registry
-    rendered under its own label.  Every sample is relabeled with
-    ``label="label_value"`` so per-shard series stay distinguishable,
-    and families (HELP/TYPE comments) are deduplicated and emitted
-    once.  Output is sorted by family then sample line, so equal
-    inputs render byte-identically whatever order the shards answered
-    in.  Cross-shard sums are the scraper's job (or
-    :func:`repro.service.client.metric_value`, which sums every series
-    whose labels include the queried subset).
-    """
-    helps: dict[str, str] = {}
-    types: dict[str, str] = {}
-    raw_samples: list[tuple[str, str]] = []  # (sample name, rendered line)
-    for label_value, text in parts:
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line.split(None, 3)
-                if len(fields) >= 3 and fields[1] in ("HELP", "TYPE"):
-                    target = helps if fields[1] == "HELP" else types
-                    target.setdefault(fields[2], line)
-                continue
-            name_part = line.rpartition(" ")[0]
-            name = name_part.partition("{")[0]
-            raw_samples.append(
-                (name, _inject_label(line, label, str(label_value)))
-            )
-
-    def family(name: str) -> str:
-        for suffix in _HISTOGRAM_SUFFIXES:
-            base = name[: -len(suffix)]
-            if name.endswith(suffix) and types.get(base, "").endswith(
-                    "histogram"):
-                return base
-        return name
-
-    grouped: dict[str, list[str]] = {}
-    for name, line in raw_samples:
-        grouped.setdefault(family(name), []).append(line)
-    lines: list[str] = []
-    for base in sorted(grouped):
-        if base in helps:
-            lines.append(helps[base])
-        if base in types:
-            lines.append(types[base])
-        lines.extend(sorted(grouped[base]))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 #: Shared disabled registry: instrument against this by default and the
 #: instrumentation costs one no-op method call.
 NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -60,6 +60,10 @@ class PackedTrace:
     ):
         if not (len(procs) == len(ops) == len(addrs)):
             raise TraceError("packed trace columns must have equal length")
+        # The kernels fold the flag into the symbol ``proc * 2 + op``,
+        # so any other value would replay as another processor's access.
+        if ops.tobytes().translate(None, b"\x00\x01"):
+            raise TraceError("packed trace write flags must be 0 or 1")
         self.name = name
         self.procs = procs
         self.ops = ops

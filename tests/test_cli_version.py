@@ -1,5 +1,9 @@
 """Tests for the shared ``--version`` plumbing across the CLIs."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 from repro.common import version as version_mod
@@ -28,24 +32,31 @@ class TestPackageVersion:
         assert package_version() == repro.__version__
 
 
-def _cli_mains():
-    from repro.conformance import cli as fuzz_cli
-    from repro.experiments import runner
-    from repro.service import cli as serve_cli
-    from repro.service import client as client_cli
-    from repro.service import loadgen
-    from repro.telemetry import cli as stats_cli
-    from repro.verification import cli as verify_cli
+SETUP_PY = Path(__file__).resolve().parent.parent / "setup.py"
 
-    return {
-        "repro-experiments": runner.main,
-        "repro-fuzz": fuzz_cli.main,
-        "repro-stats": stats_cli.main,
-        "repro-serve": serve_cli.main,
-        "repro-verify": verify_cli.main,
-        "service-client": client_cli.main,
-        "loadgen": loadgen.main,
+
+def _console_scripts() -> dict[str, str]:
+    """``setup.py``'s ``console_scripts``, read statically with ast."""
+    tree = ast.parse(SETUP_PY.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "entry_points":
+            entries = ast.literal_eval(node.value)["console_scripts"]
+            return dict(entry.replace(" ", "").split("=", 1)
+                        for entry in entries)
+    raise AssertionError("setup.py declares no console_scripts")
+
+
+def _cli_mains():
+    targets = {
+        **_console_scripts(),
+        "service-client": "repro.service.client:main",
+        "loadgen": "repro.service.loadgen:main",
     }
+    mains = {}
+    for name, target in targets.items():
+        module, _, function = target.partition(":")
+        mains[name] = getattr(importlib.import_module(module), function)
+    return mains
 
 
 @pytest.mark.parametrize("name", list(_cli_mains()))

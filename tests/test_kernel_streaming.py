@@ -58,10 +58,10 @@ def _packed():
     return trace.pack()
 
 
-def _negative_proc_packed(procs=(0, 1, -1, 2, 0), ops=(0, 1, 0, 1, 0)):
-    # Processor -1 (or processor 0 with write flag -1) would index a DFA
-    # node's edge list from the end.
-    return PackedTrace(array("q", procs), array("b", ops),
+def _negative_proc_packed():
+    # Processor -1 would index a DFA node's edge list from the end.
+    return PackedTrace(array("q", [0, 1, -1, 2, 0]),
+                       array("b", [0, 1, 0, 1, 0]),
                        array("q", [0, 0, 16, 0, 16]))
 
 
@@ -264,17 +264,13 @@ class TestEnvelope:
         assert registry.fallbacks[("directory-stream", "finite-cache")] == 1
         assert _dir_state(machine) == _dir_state(reference)
 
-    @pytest.mark.parametrize("bad", [
-        {},
-        {"procs": (0, 1, 0, 2, 0), "ops": (0, 1, -1, 1, 0)},
-    ], ids=["proc", "write-flag"])
-    def test_negative_processor_id_raises_symbol_range(self, bad):
+    def test_negative_processor_id_raises_symbol_range(self):
         machine = DirectoryMachine(_config(), BASIC)
         replay = DirectoryStreamReplay(machine)
         replay.feed(_packed())
         with pytest.raises(KernelUnsupported,
                            match="directory-stream: symbol-range"):
-            replay.feed(_negative_proc_packed(**bad))
+            replay.feed(_negative_proc_packed())
         assert machine.stats == MessageStats()
         assert machine.cache_stats == CacheStats()
         assert not machine.protocol.entries

@@ -231,37 +231,3 @@ class TestRealServer:
         assert retried["result"]["short"] == 1
         assert shed >= 1            # the first attempt really was shed
         assert executions == 2      # blocker + one retried execution
-
-    def test_mid_restart_503_retried_to_success(self, tmp_path):
-        """A one-shard cluster mid-rolling-restart answers 503 ("no
-        shard available") on its still-open listener; a retrying client
-        rides through the window without a failed request and without
-        re-executing cached work."""
-        from repro.service.loadgen import ManagedCluster
-
-        with ManagedCluster(shards=1, jobs=1,
-                            cache_dir=str(tmp_path / "results"),
-                            router_cache=0) as cluster:
-            client = ServiceClient("127.0.0.1", cluster.port)
-            first = client.replay(**SPEC)
-
-            report = {}
-            restarter = threading.Thread(
-                target=lambda: report.update(client_b.cluster_restart())
-            )
-            client_b = ServiceClient("127.0.0.1", cluster.port)
-            restarter.start()
-            responses = []
-            while restarter.is_alive():
-                responses.append(client.replay_with_retry(
-                    attempts=40, retry_draining=True,
-                    drain_backoff=0.05, **SPEC,
-                ))
-                time.sleep(0.02)
-            restarter.join()
-            assert report["ok"] is True
-            assert responses, "no requests overlapped the restart"
-            for response in responses:
-                assert response["result"] == first["result"]
-            status = client.cluster_status()
-            assert status["shards"][0]["restarts"] == 1

@@ -212,6 +212,20 @@ class TestEndpoints:
         run_with_server(body)
 
 
+class TestMetricValue:
+    TEXT = ("# HELP repro_x total x\n# TYPE repro_x counter\n"
+            'repro_x{instance="a",kind="directory"} 3\n'
+            'repro_x{instance="b",kind="directory"} 4\n'
+            'repro_x{instance="b",kind="bus"} 5\n')
+
+    def test_sums_every_series_whose_labels_include_the_query(self):
+        samples = parse_metrics_text(self.TEXT)
+        assert metric_value(samples, "repro_x", kind="directory") == 7
+        assert metric_value(samples, "repro_x", instance="b") == 9
+        assert metric_value(samples, "repro_x") == 12
+        assert metric_value(samples, "repro_x", kind="none") == 0
+
+
 class TestErrors:
     def test_unknown_path_404(self):
         async def body(service, client):

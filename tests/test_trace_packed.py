@@ -1,5 +1,7 @@
 """Tests for the packed columnar trace representation and disk cache."""
 
+from array import array
+
 import pytest
 
 from repro.common.config import CacheConfig, MachineConfig
@@ -56,6 +58,25 @@ class TestPackedTrace:
         path = tmp_path / "bad.ptrace"
         path.write_bytes(b"not a packed trace")
         with pytest.raises(TraceError):
+            PackedTrace.load(path)
+
+    @pytest.mark.parametrize("flag", [2, -1])
+    def test_rejects_write_flags_other_than_0_or_1(self, flag):
+        # The kernels fold the flag into the symbol proc * 2 + flag, so
+        # flag 2 would replay as the next processor's read.
+        with pytest.raises(TraceError, match="write flags"):
+            PackedTrace(array("q", [0, 1, 0]), array("b", [0, flag, 0]),
+                        array("q", [0, 0, 0]))
+
+    def test_load_rejects_a_write_flag_of_2(self, tmp_path):
+        packed = PackedTrace.from_accesses(ACCESSES, "t")
+        path = tmp_path / "t.ptrace"
+        packed.save(path)
+        raw = bytearray(path.read_bytes())
+        # The ops column is the len(ACCESSES) bytes before the addresses.
+        raw[-9 * len(ACCESSES)] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TraceError, match="write flags"):
             PackedTrace.load(path)
 
 
