@@ -15,17 +15,19 @@ and asserts the two contracts the kernels ship under:
   and bus counters with their per-cause/per-kind breakdowns, cache
   event counters, invalidation-size histograms, classification
   transitions — is byte-identical to the object engine's on the same
-  fixed seeded trace, and so is every counter of the stats-only replay
-  (``replay_counters``, which engages the kernel but skips the
-  final-state backfill).
+  fixed seeded trace.  The counters are read while the kernel run's
+  final state is still pending (which the read must not decode), then
+  the decoded final state — every cache line, every directory entry —
+  must equal the object engine's too.
 
 Both contracts are checked twice per machine: once on the infinite
 64K-cache throughput geometry and once on a finite 256-byte cache
 whose conflict sets force real evictions through the eviction-aware
 group walks (the run is rejected if no eviction actually happened).
 A final pass replays the same packed trace through the streaming
-backend at several chunk sizes and diffs the results against the
-batch kernel — chunk boundaries must be unobservable.
+backend at several chunk sizes and diffs the results, counters and
+decoded state, against the batch kernel — chunk boundaries must be
+unobservable.
 
 Run from the repository root::
 
@@ -43,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.common.config import CacheConfig, MachineConfig  # noqa: E402
 from repro.directory.policy import AGGRESSIVE  # noqa: E402
 from repro.kernels import registry  # noqa: E402
+from repro.kernels.pending import StandIn  # noqa: E402
 from repro.kernels.streaming import replay_stream  # noqa: E402
 from repro.snooping.machine import BusMachine  # noqa: E402
 from repro.snooping.protocols import AdaptiveSnoopingProtocol  # noqa: E402
@@ -90,11 +93,16 @@ def _best(make, trace) -> float:
     return best
 
 
-def _check_machine(name, make, counters, trace, stats_of, *, label=None,
+def _diff(label, kind, pairs, reference="object-engine") -> list[str]:
+    return [f"{label}: {field}: {kind}={value!r} {reference}={expected!r}"
+            for field, value, expected in pairs if value != expected]
+
+
+def _check_machine(name, make, trace, stats_of, state_of, *, label=None,
                    require_evictions=False) -> list[str]:
-    """Time kernel vs generic and diff the kernel's and the stats-only
-    replay's (``counters(trace)``) stats against the object engine;
-    returns failure descriptions (empty = clean)."""
+    """Time kernel vs generic and diff the kernel run against the object
+    engine, its counters while its final state is pending, then the
+    decoded state; returns failure descriptions (empty = clean)."""
     problems = []
     label = label or name
 
@@ -123,28 +131,22 @@ def _check_machine(name, make, counters, trace, stats_of, *, label=None,
             f"{label}: kernel replay ({kernel_seconds * 1e3:.3f}ms) slower "
             f"than the generic loop ({generic_seconds * 1e3:.3f}ms)")
 
-    registry.engagements.clear()
-    stats_only = counters(trace)
-    if registry.engagements[name] != 1:
-        problems.append(f"{label}: stats-only replay did not engage "
-                        f"(engagements={dict(registry.engagements)})")
-
     generic_machine = make()
     generic_machine.run(list(trace))  # a plain list has no pack()
-    for kind, replayed in (("kernel", kernel_machine),
-                           ("stats-only", stats_only)):
-        for field, value, generic_value in stats_of(replayed,
-                                                    generic_machine):
-            if value != generic_value:
-                problems.append(f"{label}: {field}: {kind}={value!r} "
-                                f"object-engine={generic_value!r}")
+    problems += _diff(label, "kernel",
+                      stats_of(kernel_machine, generic_machine))
+    if not isinstance(kernel_machine.caches, StandIn):
+        problems.append(f"{label}: the kernel run's final state was "
+                        "decoded before anything read it")
+    problems += _diff(label, "decoded",
+                      state_of(kernel_machine, generic_machine))
     if not problems:
-        print(f"{label}: kernel and stats-only stats match the object "
+        print(f"{label}: kernel stats and decoded state match the object "
               "engine")
     return problems
 
 
-def _check_streaming(name, make, packed, stats_of) -> list[str]:
+def _check_streaming(name, make, packed, stats_of, state_of) -> list[str]:
     """Replay chunked through the streaming backend at every chunk size
     and diff against the batch kernel — results must be identical."""
     problems = []
@@ -160,21 +162,12 @@ def _check_streaming(name, make, packed, stats_of) -> list[str]:
                 f"{name}-stream(chunk={chunk}): did not engage "
                 f"(engagements={dict(registry.engagements)}, "
                 f"fallbacks={dict(registry.fallbacks)})")
-        for field, stream_value, batch_value in stats_of(machine, batch):
-            if stream_value != batch_value:
-                problems.append(
-                    f"{name}-stream(chunk={chunk}): {field}: "
-                    f"stream={stream_value!r} batch={batch_value!r}")
+        problems += _diff(f"{name}-stream(chunk={chunk})", "stream",
+                          stats_of(machine, batch) + state_of(machine, batch),
+                          reference="batch")
     if not problems:
         print(f"{name}-stream: chunks {STREAM_CHUNKS} all match batch")
     return problems
-
-
-def _transitions(replayed):
-    """A machine's transition counters, or a stats-only replay's."""
-    if isinstance(replayed, DirectoryMachine):
-        return replayed.protocol.transitions
-    return replayed.transitions
 
 
 def _directory_stats(a, b):
@@ -185,7 +178,7 @@ def _directory_stats(a, b):
         ("by_cause_data", a.stats.by_cause_data, b.stats.by_cause_data),
         ("cache_stats", a.cache_stats, b.cache_stats),
         ("invalidation_sizes", a.invalidation_sizes, b.invalidation_sizes),
-        ("transitions", _transitions(a), _transitions(b)),
+        ("transitions", a.protocol.transitions, b.protocol.transitions),
     ]
 
 
@@ -195,6 +188,28 @@ def _bus_stats(a, b):
         ("by_kind", a.bus_stats.by_kind, b.bus_stats.by_kind),
         ("cache_stats", a.cache_stats, b.cache_stats),
     ]
+
+
+def _lines(machine):
+    out = []
+    for proc, cache in enumerate(machine.caches):
+        for block in sorted(cache.resident_blocks()):
+            line = cache.lookup(block)
+            out.append((proc, block, line.state, line.dirty, line.counter))
+    return out
+
+
+def _bus_state(a, b):
+    return [("lines", _lines(a), _lines(b))]
+
+
+def _directory_state(a, b):
+    def entries(machine):
+        return {block: (ent.state, sorted(ent.copyset),
+                        ent.last_invalidator, ent.streak)
+                for block, ent in machine.protocol.entries.items()}
+
+    return _bus_state(a, b) + [("entries", entries(a), entries(b))]
 
 
 def main() -> int:
@@ -208,24 +223,21 @@ def main() -> int:
                                   (EVICT_CFG, "-evicting", True)):
         problems += _check_machine(
             "directory", lambda: DirectoryMachine(cfg, AGGRESSIVE),
-            lambda t: DirectoryMachine.replay_counters(t, cfg, AGGRESSIVE),
-            trace, _directory_stats, label=f"directory{suffix}",
-            require_evictions=evicting,
+            trace, _directory_stats, _directory_state,
+            label=f"directory{suffix}", require_evictions=evicting,
         )
         problems += _check_machine(
             "bus", lambda: BusMachine(cfg, AdaptiveSnoopingProtocol()),
-            lambda t: BusMachine.replay_counters(
-                t, cfg, AdaptiveSnoopingProtocol()),
-            trace, _bus_stats, label=f"bus{suffix}",
+            trace, _bus_stats, _bus_state, label=f"bus{suffix}",
             require_evictions=evicting,
         )
     problems += _check_streaming(
         "directory", lambda: DirectoryMachine(STREAM_CFG, AGGRESSIVE),
-        packed, _directory_stats,
+        packed, _directory_stats, _directory_state,
     )
     problems += _check_streaming(
         "bus", lambda: BusMachine(STREAM_CFG, AdaptiveSnoopingProtocol()),
-        packed, _bus_stats,
+        packed, _bus_stats, _bus_state,
     )
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)

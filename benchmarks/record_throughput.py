@@ -1,10 +1,12 @@
 """Record simulator throughput before/after numbers.
 
-Measures the directory- and bus-machine trace-replay benchmark (the same
-workload as ``test_simulator_throughput.py``) on the current tree —
-table-driven kernel and generic per-``Access`` path, the two replay
-paths a machine has — and writes the results to
-``BENCH_throughput.json`` with the host's CPU count beside them.
+Measures the directory- and bus-machine trace-replay benchmark (the
+workload of ``test_simulator_throughput.py``, its visits and rounds
+scaled by :data:`SCALE` to 1,008,064 accesses so that every row beats
+timer noise) on the current tree — table-driven kernel and generic
+per-``Access`` path, the two replay paths a machine has — and writes
+the results to ``BENCH_throughput.json`` with the host's CPU count
+beside them.
 
 Two extra sections cover the widened kernel envelope:
 
@@ -20,12 +22,17 @@ Two extra sections cover the widened kernel envelope:
 
 Each configuration is timed in its own subprocess (min over
 ``--rounds`` process launches of the min over ``--reps`` in-process
-repetitions), and configurations are interleaved across rounds so slow
-periods of a noisy machine hit every configuration equally.
+repetitions), and configurations (a baseline's rows included) are
+interleaved across rounds so slow periods of a noisy machine hit every
+configuration equally.  Each subprocess replays once before timing, so
+the kernel rows time replays whose per-block and per-set walks are
+already memoised, as in a sweep that replays one trace many times.
 
-To refresh the pre-optimization baseline, point ``--baseline-src`` at a
-checkout of the code to compare against (e.g. a git worktree of the
-commit before the packed-trace work)::
+To measure a baseline, point ``--baseline-src`` at the ``src/`` of a
+checkout of the code to compare against (e.g. a clone of the parent
+commit); its generic per-``Access`` rows become the ``before`` section
+and ``generic_vs_before`` gives each generic row's time as a ratio of
+the baseline's::
 
     python benchmarks/record_throughput.py --baseline-src /path/to/old/src
 
@@ -45,12 +52,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO / "BENCH_throughput.json"
 
-#: Number of accesses in the benchmark trace (for throughput figures).
+#: Factor on the throughput test's migratory visits and read-shared
+#: rounds: 13,504 accesses become 1,008,064 over the same 32 blocks.
+SCALE = 75
+
 _TIMER_BODY = r'''
 import sys, time
 sys.path.insert(0, sys.argv[1])
 machine_kind, representation, reps = sys.argv[2], sys.argv[3], int(sys.argv[4])
-geometry = sys.argv[5] if len(sys.argv) > 5 else "base"
+geometry, scale = sys.argv[5], int(sys.argv[6])
 from repro.common.config import CacheConfig, MachineConfig
 from repro.trace import synth
 
@@ -61,8 +71,9 @@ size_bytes = 64 * 1024 if geometry == "base" else 256
 CFG = MachineConfig(num_procs=16,
                     cache=CacheConfig(size_bytes=size_bytes, block_size=16))
 TRACE = synth.interleave(
-    [synth.migratory(num_procs=16, num_objects=16, visits=50, seed=1),
-     synth.read_shared(num_procs=16, num_objects=16, rounds=20,
+    [synth.migratory(num_procs=16, num_objects=16, visits=50 * scale,
+                     seed=1),
+     synth.read_shared(num_procs=16, num_objects=16, rounds=20 * scale,
                        base=1 << 20, seed=2)],
     chunk=8, seed=3)
 
@@ -124,8 +135,8 @@ machine = BusMachine(CFG, AdaptiveSnoopingProtocol())
 if mode == "stream":
     # The trace never exists in full: each chunk is synthesized, fed,
     # and dropped.  The feed-phase peak is the streaming claim; the
-    # total peak adds finish()'s machine line objects, which every
-    # replay path pays.
+    # total peak adds what finish() keeps (the final state stays
+    # pending: no line objects are built).
     from repro.kernels.streaming import BusStreamReplay
     replay = BusStreamReplay(machine)
     tracemalloc.start()
@@ -183,9 +194,9 @@ def measure_streaming(src: Path) -> dict:
             results["batch"]["total_peak"]
             / results["stream"]["feed_peak"], 2),
         "note": "feed peak holds per-block continuation nodes (the "
-                "million-block floor) but never the trace itself; total "
-                "peaks add the machine's own final line objects, common "
-                "to both paths",
+                "million-block floor) but never the trace itself; neither "
+                "path builds the machine's final line objects, which stay "
+                "pending until read",
     }
 
 
@@ -194,32 +205,36 @@ def time_config(src: Path, machine: str, representation: str,
     """Best wall time for one (source tree, machine, representation)."""
     out = subprocess.run(
         [sys.executable, "-c", _TIMER_BODY, str(src), machine,
-         representation, str(reps), geometry],
+         representation, str(reps), geometry, str(SCALE)],
         capture_output=True, text=True, check=True,
     )
     accesses, best = out.stdout.split()
     return int(accesses), float(best)
 
 
-def measure(src: Path, configs: list[tuple[str, str, str]], rounds: int,
-            reps: int) -> dict:
-    """Interleaved min-of-rounds measurement of every configuration."""
-    best: dict[tuple[str, str, str], float] = {c: float("inf")
-                                               for c in configs}
+def measure(jobs: list[tuple[Path, tuple[str, str, str]]], rounds: int,
+            reps: int) -> dict[Path, dict]:
+    """Interleaved min-of-rounds measurement of every ``(source tree,
+    configuration)`` job, in reverse order every other round; returns
+    each tree's rows."""
+    best = {job: float("inf") for job in jobs}
     accesses = 0
-    for _ in range(rounds):
-        for config in configs:
-            accesses, elapsed = time_config(src, *config[:2], reps=reps,
-                                            geometry=config[2])
-            best[config] = min(best[config], elapsed)
-    result = {"accesses": accesses}
-    for (machine, representation, geometry), elapsed in best.items():
+    for round_ in range(rounds):
+        for src, (machine, representation, geometry) in (
+                jobs[::-1] if round_ % 2 else jobs):
+            accesses, elapsed = time_config(src, machine, representation,
+                                            reps=reps, geometry=geometry)
+            job = (src, (machine, representation, geometry))
+            best[job] = min(best[job], elapsed)
+    results: dict[Path, dict] = {}
+    for (src, (machine, representation, geometry)), elapsed in best.items():
+        result = results.setdefault(src, {"accesses": accesses})
         key = f"{machine}_{representation}"
         if geometry != "base":
             key = f"{key}_{geometry}"
         result[f"{key}_ms"] = round(elapsed * 1e3, 3)
         result[f"{key}_accesses_per_s"] = round(accesses / elapsed)
-    return result
+    return results
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,22 +261,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.out.exists():
         previous = json.loads(args.out.read_text())
 
-    after = measure(REPO / "src", configs, args.rounds, args.reps)
-
+    # The baseline's generic loop runs under the 'unpacked' label (a
+    # plain list has no pack(), so no tree's kernel can engage), each
+    # right after the same row of the current tree, so a slow spell of
+    # the host hits both.
+    jobs = []
+    for config in configs:
+        jobs.append((REPO / "src", config))
+        if args.baseline_src is not None and config[1] == "unpacked":
+            jobs.append((args.baseline_src, config))
+    measured = measure(jobs, args.rounds, args.reps)
+    after = measured[REPO / "src"]
     if args.baseline_src is not None:
-        # The old tree predates the kernels: measure its generic loop
-        # under the 'unpacked' label.
-        base = measure(args.baseline_src,
-                       [("directory", "unpacked", "base"),
-                        ("bus", "unpacked", "base")],
-                       args.rounds, args.reps)
-        before = {
-            "accesses": base["accesses"],
-            "directory_ms": base["directory_unpacked_ms"],
-            "directory_accesses_per_s": base["directory_unpacked_accesses_per_s"],
-            "bus_ms": base["bus_unpacked_ms"],
-            "bus_accesses_per_s": base["bus_unpacked_accesses_per_s"],
-        }
+        before = {key.replace("_unpacked", ""): value
+                  for key, value in measured[args.baseline_src].items()}
     else:
         before = previous.get("before", {})
 
@@ -271,7 +284,8 @@ def main(argv: list[str] | None = None) -> int:
         streaming = measure_streaming(REPO / "src")
 
     record = {
-        "benchmark": "benchmarks/test_simulator_throughput.py "
+        "benchmark": "benchmarks/test_simulator_throughput.py's workload "
+                     f"with visits and rounds x{SCALE} "
                      "(16 procs, 64K caches, 16-byte blocks, "
                      "migratory+read_shared interleave; _evicting rows "
                      "rerun on 256-byte 4-way caches)",
@@ -290,11 +304,13 @@ def main(argv: list[str] | None = None) -> int:
         for machine in ("directory", "bus")
     }
     if before:
-        record["speedup"].update({
-            f"{machine}_kernel_vs_before": round(
-                before[f"{machine}_ms"] / after[f"{machine}_kernel_ms"], 2)
+        record["generic_vs_before"] = {
+            f"{machine}{suffix}": round(
+                after[f"{machine}_unpacked{suffix}_ms"]
+                / before[f"{machine}{suffix}_ms"], 3)
+            for suffix in ("", "_evicting")
             for machine in ("directory", "bus")
-        })
+        }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record, indent=2))
     return 0

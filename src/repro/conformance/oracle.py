@@ -21,14 +21,15 @@ each replay is audited three ways:
    microarchitectural state — every cache line's state, dirty bit and
    competitive counter, every directory entry's classification, copy
    set, invalidator and evidence streak, the transition counters —
-   must be exactly equal to the checked generic replay's.  The same
-   stage replays the case once more through the stats-only entry
-   (``replay_counters``), whose counters must equal the checked
-   replay's too, and — for infinite-cache cases — once through the
-   streaming backend (:func:`repro.kernels.streaming.replay_stream`) in
-   segments short enough to split every block's accesses, whose stats
-   and final state must equal the checked replay's.  This stage also
-   covers the update-family snooping protocols, which the
+   must be exactly equal to the checked generic replay's.  The counters
+   are compared first, while an engaged kernel's final state is still
+   pending (:mod:`repro.kernels.pending`), so they are exactly what a
+   caller reading only counters sees; the final state is compared
+   after its decode.  For infinite-cache cases the same stage replays
+   the case once more through the streaming backend
+   (:func:`repro.kernels.streaming.replay_stream`) in segments short
+   enough to split every block's accesses, audited the same way.  This
+   stage also covers the update-family snooping protocols, which the
    invariant/SC stages exclude.
 
 The first discrepancy is reported as a :class:`CaseFailure` naming the
@@ -193,14 +194,14 @@ def _directory_entries(machine) -> dict[int, tuple]:
 
 
 def _directory_pairs(a, b) -> list[tuple[str, object, object]]:
-    """Statistic comparison triples for two directory machines (or a
-    machine and a stats-only replay's counters)."""
+    """Counter comparison triples for two directory machines."""
     return [
         ("short", a.stats.short, b.stats.short),
         ("data", a.stats.data, b.stats.data),
         ("by_cause_short", a.stats.by_cause_short, b.stats.by_cause_short),
         ("by_cause_data", a.stats.by_cause_data, b.stats.by_cause_data),
         ("invalidation_sizes", a.invalidation_sizes, b.invalidation_sizes),
+        ("transitions", a.protocol.transitions, b.protocol.transitions),
     ] + [
         (name, left, right)
         for (name, left), (_, right) in zip(
@@ -213,10 +214,23 @@ def _directory_pairs(a, b) -> list[tuple[str, object, object]]:
 def _directory_state_pairs(a, b) -> list[tuple[str, object, object]]:
     """Final-state comparison triples for two directory machines."""
     return [
-        ("transitions", a.protocol.transitions, b.protocol.transitions),
         ("entries", _directory_entries(a), _directory_entries(b)),
         ("lines", _final_lines(a), _final_lines(b)),
     ]
+
+
+def _bus_state_pairs(a, b) -> list[tuple[str, object, object]]:
+    """Final-state comparison triples for two bus machines."""
+    return [("lines", _final_lines(a), _final_lines(b))]
+
+
+def _kernel_diff(reference, machine, counter_pairs, state_pairs,
+                 labels: tuple[str, str] = ("generic", "kernel")):
+    """Diff ``machine`` against ``reference``: the counters first, while
+    a kernel replay's final state is still pending, then the state,
+    which that read decodes."""
+    return (_diff_fields(counter_pairs(reference, machine), labels)
+            or _diff_fields(state_pairs(reference, machine), labels))
 
 
 def _streamed(machine, case: FuzzCase, label: str):
@@ -234,8 +248,7 @@ def _streamed(machine, case: FuzzCase, label: str):
 
 
 def _snooping_pairs(a, b) -> list[tuple[str, object, object]]:
-    """Statistic comparison triples for two bus machines (or a machine
-    and a stats-only replay's counters)."""
+    """Counter comparison triples for two bus machines."""
     return [
         ("read_miss", a.bus_stats.read_miss, b.bus_stats.read_miss),
         ("write_miss", a.bus_stats.write_miss, b.bus_stats.write_miss),
@@ -292,32 +305,16 @@ def _run_directory(
     kernel = machine_factory(config, policy, check=False)
     with span("conformance.replay", engine=label, stage="kernel"):
         kernel.run(case.trace)
-    diff = _diff_fields(
-        _directory_pairs(checked, kernel)
-        + _directory_state_pairs(checked, kernel)
-    )
+    diff = _kernel_diff(checked, kernel, _directory_pairs,
+                        _directory_state_pairs)
     if diff is not None:
         return CaseFailure("kernel-diff", f"directory-kernel[{policy.name}]",
                            diff)
-    with span("conformance.replay", engine=label, stage="stats-only"):
-        counters = machine_factory.replay_counters(case.trace, config, policy)
-    diff = _diff_fields(
-        _directory_pairs(checked, counters)
-        + [("transitions", checked.protocol.transitions,
-            counters.transitions)],
-        labels=("generic", "stats-only"),
-    )
-    if diff is not None:
-        return CaseFailure("kernel-diff",
-                           f"directory-stats-only[{policy.name}]", diff)
     stream = _streamed(machine_factory(config, policy, check=False), case,
                        label)
     if stream is not None:
-        diff = _diff_fields(
-            _directory_pairs(checked, stream)
-            + _directory_state_pairs(checked, stream),
-            labels=("generic", "stream"),
-        )
+        diff = _kernel_diff(checked, stream, _directory_pairs,
+                            _directory_state_pairs, ("generic", "stream"))
         if diff is not None:
             return CaseFailure("kernel-diff",
                                f"directory-stream[{policy.name}]", diff)
@@ -352,8 +349,8 @@ def _snooping_kernel_diff(
     machine_factory: Callable[..., BusMachine],
     baseline: BusMachine | None = None,
 ) -> CaseFailure | None:
-    """Kernel-eligible replay vs the generic engine, state and all,
-    then the stats-only replay's counters vs the generic engine's.
+    """Kernel-eligible and streamed replays vs the generic engine,
+    counters first, then the final state.
 
     When ``baseline`` is None (the kernel-only protocols), the generic
     reference replay is produced here under :func:`registry.disabled`.
@@ -369,28 +366,14 @@ def _snooping_kernel_diff(
     kernel = machine_factory(config, protocol, check=False)
     with span("conformance.replay", engine=label, stage="kernel"):
         kernel.run(case.trace)
-    diff = _diff_fields(
-        _snooping_pairs(baseline, kernel)
-        + [("lines", _final_lines(baseline), _final_lines(kernel))]
-    )
+    diff = _kernel_diff(baseline, kernel, _snooping_pairs, _bus_state_pairs)
     if diff is not None:
         return CaseFailure("kernel-diff", label, diff)
-    with span("conformance.replay", engine=label, stage="stats-only"):
-        counters = machine_factory.replay_counters(
-            case.trace, config, protocol_factory())
-    diff = _diff_fields(_snooping_pairs(baseline, counters),
-                        labels=("generic", "stats-only"))
-    if diff is not None:
-        return CaseFailure("kernel-diff",
-                           f"bus-stats-only[{protocol.name}]", diff)
     stream = _streamed(machine_factory(config, protocol_factory(),
                                        check=False), case, label)
     if stream is not None:
-        diff = _diff_fields(
-            _snooping_pairs(baseline, stream)
-            + [("lines", _final_lines(baseline), _final_lines(stream))],
-            labels=("generic", "stream"),
-        )
+        diff = _kernel_diff(baseline, stream, _snooping_pairs,
+                            _bus_state_pairs, ("generic", "stream"))
         if diff is not None:
             return CaseFailure("kernel-diff",
                                f"bus-stream[{protocol.name}]", diff)

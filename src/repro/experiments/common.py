@@ -158,13 +158,13 @@ def replay_directory(
 ) -> MessageStats:
     """One raw directory replay's message stats: no cache, no telemetry.
 
-    The policy's registered family picks the machine class, and the
-    replay runs stats-only (:meth:`DirectoryMachine.replay_counters`),
-    since only the counters leave this function.
+    The policy's registered family picks the machine class.  Only the
+    counters leave this function, so an engaged kernel's final state
+    is never decoded (see :mod:`repro.kernels.pending`).
     """
     machine_cls, _ = _directory_realization(policy)
     placement = get_placement(placement_kind, trace, config)
-    return machine_cls.replay_counters(trace, config, policy, placement).stats
+    return machine_cls(config, policy, placement).run(trace)
 
 
 def bus_config(
@@ -196,7 +196,7 @@ def run_directory(
     when the active telemetry session instruments machines, whose whole
     point is observing the replay this cache would skip.  Such a replay
     runs in full on a machine carrying a recorder; every other one is
-    the stats-only :func:`replay_directory`.
+    :func:`replay_directory`.
     """
     config = directory_config(
         cache_size, block_size, num_procs, eviction_notification
@@ -241,8 +241,7 @@ def run_bus(
     """Run one bus-machine simulation and return its transaction stats.
 
     Cached like :func:`run_directory`, with the protocol digest standing
-    in for the policy digest; uninstrumented replays are stats-only
-    (:meth:`BusMachine.replay_counters`).
+    in for the policy digest.
     """
     config = bus_config(cache_size, block_size, num_procs)
 
@@ -259,8 +258,7 @@ def run_bus(
 
     def replay() -> BusStats:
         with span():
-            return BusMachine.replay_counters(
-                trace, config, protocol).bus_stats
+            return BusMachine(config, protocol).run(trace)
 
     return resultcache.memoize(
         "bus",

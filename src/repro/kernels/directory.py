@@ -31,15 +31,16 @@ with chunk-skipping holder decodes, raising the processor cap to 1024.
 ``try_replay`` returns ``None`` without touching the machine whenever
 the replay falls outside the kernel envelope (see the gate comments);
 the caller then runs the generic loop, keeping behavior identical.
-When it engages it writes every counter the generic loop would, and —
-unless the caller asked for counters only (``final_state=False``, the
-stats-only replay of :meth:`DirectoryMachine.replay_counters`) — backfills
-the final cache lines and directory entries as well.
+When it engages it writes every counter the generic loop would and
+leaves the final cache lines and directory entries pending
+(:mod:`repro.kernels.pending`): :func:`_decode` writes them from the
+final packed keys when the machine's per-block state is first read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 from repro.cache.core import InfiniteCache, SetAssociativeCache
 from repro.common.errors import ProtocolError
@@ -53,7 +54,7 @@ from repro.interconnect.costs import (
     write_hit_counts,
     write_miss_counts,
 )
-from repro.kernels import registry
+from repro.kernels import pending, registry
 from repro.kernels.tables import (
     DIR_STATES,
     KernelUnsupported,
@@ -394,7 +395,7 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
             (ev_short, ev_data, ev_dirty, ev_clean, forget))
 
 
-def try_replay(machine, packed, final_state: bool = True):
+def try_replay(machine, packed):
     """Replay ``packed`` on the kernel, or return ``None`` untouched.
 
     The envelope (each gate falls back to the generic loop, which is
@@ -411,10 +412,9 @@ def try_replay(machine, packed, final_state: bool = True):
 
     An engaged replay writes every counter into the machine (message
     and cache statistics, invalidation sizes, protocol transitions,
-    eviction totals) and any first-touch homes into the placement.
-    With ``final_state`` (the default) it also backfills the final
-    cache lines and directory entries; without it the machine is left
-    holding counters only, which is for callers that drop it unseen.
+    eviction totals) and any first-touch homes into the placement.  The
+    final cache lines and directory entries stay pending until first
+    read (see :mod:`repro.kernels.pending`).
     """
     if not registry.kernels_enabled():
         return _fallback("disabled")
@@ -541,13 +541,12 @@ def try_replay(machine, packed, final_state: bool = True):
         # generic loop can still run the replay.
         return _fallback("walk-abort")
     _apply_counters(machine, totals, inv_sizes)
-    if final_state:
-        _apply_final(machine, finals)
-        _apply_groups(machine, groups)
     if any(ev_totals):
         _apply_evictions(machine, ev_totals)
     if new_homes:
         placement._homes.update(new_homes)
+    pending.defer(machine, partial(_decode, finals, groups, 2 * num_procs),
+                  protocol)
     registry.engagements["directory"] += 1
     if machine.step_hook is not None:
         raise ProtocolError(
@@ -559,7 +558,7 @@ def try_replay(machine, packed, final_state: bool = True):
     return machine.stats
 
 
-def _final_entry(machine, block: int, final_key: int, shift2: int) -> set[int]:
+def _final_entry(entries, block: int, final_key: int, shift2: int) -> set[int]:
     """Record ``block``'s directory entry from its final packed key;
     returns the decoded copy set."""
     lines = final_key & ((1 << shift2) - 1)
@@ -567,7 +566,7 @@ def _final_entry(machine, block: int, final_key: int, shift2: int) -> set[int]:
     streak = (final_key >> (shift2 + 3)) & 127
     li = final_key >> (shift2 + 10)
     copyset = {p for p, _ in _members(lines)}
-    machine.protocol._entries[block] = DirectoryEntry(
+    entries[block] = DirectoryEntry(
         state=DIR_STATES[ds], copyset=copyset,
         last_invalidator=li - 1 if li else None, streak=streak,
     )
@@ -603,42 +602,30 @@ def _apply_counters(machine, totals, inv_sizes) -> None:
         machine.invalidation_sizes.update(inv_sizes)
 
 
-def _apply_final(machine, finals) -> None:
-    """Write the independent walks' final per-block state into the machine.
+def _decode(finals, groups, shift2: int, caches, entries) -> None:
+    """Write the walks' final per-block state into a machine's cache
+    list and directory entry dict.
 
-    Each block gets its directory entry and its cache lines.  Lines are
-    re-inserted in first-touch block order; these blocks' sets never
+    Each block of ``finals`` (the independent walks' ``(block,
+    final_key)`` pairs) gets its directory entry and its cache lines,
+    re-inserted in first-touch block order: these blocks' sets never
     evicted, so the recency order is unobservable and this canonical
-    order is as good as the historical one.
+    order is as good as the historical one.  Each conflict set of
+    ``groups`` re-inserts every processor's lines in the walk's final
+    recency order (oldest first), so the per-set ordering, observable
+    by any further accesses, matches the generic loop's exactly.
     """
     from repro.system.machine import CState
 
     shared, excl = CState.SHARED, CState.EXCL
-    caches = machine.caches
-    shift2 = 2 * machine.config.num_procs
     for block, final_key in finals:
-        copyset = _final_entry(machine, block, final_key, shift2)
+        copyset = _final_entry(entries, block, final_key, shift2)
         for p in copyset:
             f = (final_key >> (2 * p)) & 3
             caches[p].insert(block, shared if f == 1 else excl, f == 3)
-
-
-def _apply_groups(machine, groups) -> None:
-    """Write the conflict-set walk results into the machine.
-
-    Each processor's lines are re-inserted in the walk's final recency
-    order (oldest first), so the machine's per-set ordering — observable
-    by any further accesses after the replay — matches the generic
-    loop's exactly.
-    """
-    from repro.system.machine import CState
-
-    shared, excl = CState.SHARED, CState.EXCL
-    caches = machine.caches
-    shift2 = 2 * machine.config.num_procs
     for blocks, gfinals, recency in groups:
         for block, final_key in zip(blocks, gfinals):
-            _final_entry(machine, block, final_key, shift2)
+            _final_entry(entries, block, final_key, shift2)
         for proc, order in recency:
             cache = caches[proc]
             for dense in order:

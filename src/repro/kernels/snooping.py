@@ -31,19 +31,20 @@ loop rather than guess.
 ``try_replay`` returns ``None`` without touching the machine whenever
 the replay falls outside the kernel envelope; the caller then runs the
 generic loop, keeping behavior identical.  When it engages it writes
-every counter the generic loop would, and — unless the caller asked for
-counters only (``final_state=False``, the stats-only replay of
-:meth:`BusMachine.replay_counters`) — backfills the final cache lines.
+every counter the generic loop would and leaves the final cache lines
+pending (:mod:`repro.kernels.pending`): :func:`_decode` writes them
+from the final packed keys when the machine's caches are first read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 from repro.cache.core import InfiniteCache, SetAssociativeCache
 from repro.common.errors import ProtocolError
 from repro.common.stats import BusStats, CacheStats
-from repro.kernels import registry
+from repro.kernels import pending, registry
 from repro.kernels.tables import (
     DIRTY_SNOOP,
     RANK,
@@ -324,7 +325,7 @@ def _walk_bus_group(table, count: int, stream, ways: int, lru: bool):
             (writebacks, ev_dirty, ev_clean))
 
 
-def try_replay(machine, packed, final_state: bool = True):
+def try_replay(machine, packed):
     """Replay ``packed`` on the kernel, or return ``None`` untouched.
 
     The envelope (each gate falls back to the generic loop, which is
@@ -337,10 +338,8 @@ def try_replay(machine, packed, final_state: bool = True):
     unobservable from here) and falls back by that name.
 
     An engaged replay writes every counter into the machine (bus and
-    cache statistics, eviction totals).  With ``final_state`` (the
-    default) it also backfills the final cache lines; without it the
-    machine is left holding counters only, which is for callers that
-    drop it unseen.
+    cache statistics, eviction totals).  The final cache lines stay
+    pending until first read (see :mod:`repro.kernels.pending`).
     """
     if not registry.kernels_enabled():
         return _fallback("disabled")
@@ -428,11 +427,9 @@ def try_replay(machine, packed, final_state: bool = True):
         # only below), so the generic loop can still run the replay.
         return _fallback("walk-abort")
     _apply_counters(machine, totals)
-    if final_state:
-        _apply_final(machine, table, finals)
-        _apply_groups(machine, table, groups)
     if any(ev_totals):
         _apply_evictions(machine, ev_totals)
+    pending.defer(machine, partial(_decode, finals, groups, table.field_bits))
     registry.engagements["bus"] += 1
     if machine.step_hook is not None:
         raise ProtocolError(
@@ -475,15 +472,19 @@ def _apply_counters(machine, totals) -> None:
             bus.by_kind[kind] += totals[i]
 
 
-def _apply_final(machine, table, finals) -> None:
-    """Write the independent walks' final per-block lines into the machine.
+def _decode(finals, groups, fb: int, caches, entries) -> None:
+    """Write the walks' final per-block lines into a machine's cache
+    list (``entries`` is unused: bus machines keep no directory).
 
-    Lines are re-inserted in first-touch block order; these blocks'
-    sets never evicted, so the recency order is unobservable and this
-    canonical order is as good as the historical one.
+    The lines of ``finals`` (the independent walks' ``(block,
+    final_key)`` pairs) are re-inserted in first-touch block order:
+    these blocks' sets never evicted, so the recency order is
+    unobservable and this canonical order is as good as the historical
+    one.  Each conflict set of ``groups`` re-inserts every processor's
+    lines in the walk's final recency order (oldest first), so the
+    per-set ordering, observable by any further accesses, matches the
+    generic loop's exactly.
     """
-    caches = machine.caches
-    fb = table.field_bits
     mask = (1 << fb) - 1
     for block, final_key in finals:
         p = 0
@@ -493,19 +494,6 @@ def _apply_final(machine, table, finals) -> None:
                 _insert_line(caches[p], block, f)
             final_key >>= fb
             p += 1
-
-
-def _apply_groups(machine, table, groups) -> None:
-    """Write the conflict-set walk results into the machine.
-
-    Each processor's lines are re-inserted in the walk's final recency
-    order (oldest first), so the machine's per-set ordering — observable
-    by any further accesses after the replay — matches the generic
-    loop's exactly.
-    """
-    caches = machine.caches
-    fb = table.field_bits
-    mask = (1 << fb) - 1
     for blocks, gfinals, recency in groups:
         for proc, order in recency:
             cache = caches[proc]

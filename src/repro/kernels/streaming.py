@@ -24,9 +24,12 @@ with the batch kernels' ``_aggregate``.  Statistics merge
 deterministically — integer addition is order-independent — so a
 replay fed in 1-access segments produces byte-identical stats and
 final machine state to the batch kernel and to the generic loop.
-``finish()`` writes the accumulated totals and final per-block states
-through the batch kernels' own ``_apply_counters``/``_apply_final``
-helpers, so the two backends cannot drift.
+``finish()`` writes the accumulated totals through the batch kernels'
+own ``_apply_counters`` and leaves the per-block state pending
+(:mod:`repro.kernels.pending`): the block-to-node map is decoded by
+the batch kernels' own ``_decode`` when the machine's per-block state
+is first read, so the two backends cannot drift, and a replay read
+only through its counters never builds the line or entry objects.
 
 The streaming envelope is the batch envelope minus finite caches:
 replacement needs the set's *global* conflict structure, which a
@@ -39,12 +42,14 @@ fallback onto ``machine.run``.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.cache.core import InfiniteCache
 from repro.common.errors import ProtocolError
 from repro.common.stats import BusStats, CacheStats, MessageStats
 from repro.directory.protocol import DirectoryProtocol
 from repro.directory.representation import FullMapDirectory
-from repro.kernels import registry, snooping
+from repro.kernels import pending, registry, snooping
 from repro.kernels import directory as dkernel
 from repro.kernels.tables import KernelUnsupported
 from repro.system.placement import FirstTouchPlacement
@@ -77,7 +82,8 @@ class DirectoryStreamReplay:
             replay.feed(segment)
         stats = replay.finish()
 
-    The machine is untouched until :meth:`finish`; a
+    The machine is untouched until :meth:`finish`, which writes the
+    counters and leaves the final state pending; a
     :class:`KernelUnsupported` raised by the constructor or mid-feed
     leaves it fresh, so the caller can still run any other backend.
     """
@@ -192,7 +198,10 @@ class DirectoryStreamReplay:
             inv_sizes[size] = inv_sizes.get(size, 0) + count
 
     def finish(self):
-        """Write the accumulated replay into the machine; return stats."""
+        """Write the counters into the machine and return its stats.
+
+        The final per-block state stays pending until first read.
+        """
         if self._finished:
             raise ProtocolError("finish() called twice on a stream replay")
         self._finished = True
@@ -204,11 +213,14 @@ class DirectoryStreamReplay:
                 "observations are unreliable; install it before feeding "
                 "to take the generic per-access path"
             )
-        finals = [(block, node[-1]) for block, node in self._nodes.items()]
         dkernel._apply_counters(machine, self._totals, self._inv_sizes)
-        dkernel._apply_final(machine, finals)
         if self._first_touch and self._new_homes:
             machine.placement._homes.update(self._new_homes)
+        # The generator holds the node map, not the replay or machine.
+        finals = ((block, node[-1]) for block, node in self._nodes.items())
+        shift2 = 2 * machine.config.num_procs
+        pending.defer(machine, partial(dkernel._decode, finals, (), shift2),
+                      machine.protocol)
         registry.engagements[self.ENGINE] += 1
         return machine.stats
 
@@ -290,7 +302,10 @@ class BusStreamReplay:
             totals[i] += v
 
     def finish(self):
-        """Write the accumulated replay into the machine; return stats."""
+        """Write the counters into the machine and return its stats.
+
+        The final per-block state stays pending until first read.
+        """
         if self._finished:
             raise ProtocolError("finish() called twice on a stream replay")
         self._finished = True
@@ -302,9 +317,10 @@ class BusStreamReplay:
                 "observations are unreliable; install it before feeding "
                 "to take the generic per-access path"
             )
-        finals = [(block, node[-1]) for block, node in self._nodes.items()]
         snooping._apply_counters(machine, self._totals)
-        snooping._apply_final(machine, self._table, finals)
+        finals = ((block, node[-1]) for block, node in self._nodes.items())
+        pending.defer(machine, partial(snooping._decode, finals, (),
+                                       self._table.field_bits))
         registry.engagements[self.ENGINE] += 1
         return machine.bus_stats
 

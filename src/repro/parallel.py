@@ -158,9 +158,14 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     Created lazily on first use with the pinned start method and reused
     by every later :func:`parallel_map`; asking for more workers than
     the current pool has replaces it (asking for fewer reuses the larger
-    pool — output never depends on the worker count).
+    pool — output never depends on the worker count).  A new pool has
+    all its processes started before it is returned: an executor spawns
+    a worker on a submit only while none is idle, so a pool fed one job
+    at a time would keep one process and pay the others' interpreter
+    start inside its first concurrent burst.
     """
     global _POOL, _POOL_WORKERS
+    started = []
     with _POOL_LOCK:
         previous = None
         if _POOL is None or workers > _POOL_WORKERS:
@@ -170,9 +175,17 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
                 mp_context=multiprocessing.get_context(_start_method()),
             )
             _POOL_WORKERS = workers
+            # One no-op per worker, all submitted before any can answer.
+            started = [_POOL.submit(os.getpid) for _ in range(workers)]
         pool = _POOL
     if previous is not None:
         previous.shutdown(wait=False, cancel_futures=True)
+    try:
+        for future in started:
+            future.result()
+    except BrokenProcessPool:
+        shutdown_pool()  # so the next call starts a clean executor
+        raise
     return pool
 
 

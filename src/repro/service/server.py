@@ -18,11 +18,12 @@ One :class:`CoherenceService` owns four pieces of machinery:
   (:mod:`repro.experiments.resultcache`), so a table cell computed by
   ``repro-experiments`` is a cache hit over HTTP and vice versa.
 * **Execution dispatch** — replays run on the session process pool
-  (:func:`repro.parallel.get_pool`) when the server is configured with
-  more than one worker, with traces published once into the
-  shared-memory arena (:mod:`repro.trace.shm`) so pool workers attach
-  zero-copy; a single-worker server executes on a thread instead, which
-  keeps tests and small deployments free of spawn cost.
+  (:func:`repro.parallel.get_pool`, every worker started with the
+  server) when the server is configured with more than one worker,
+  with traces published once into the shared-memory arena
+  (:mod:`repro.trace.shm`) so pool workers attach zero-copy; a
+  single-worker server executes on a thread instead, which keeps tests
+  and small deployments free of spawn cost.
 
 ``GET /healthz`` and ``GET /metrics`` are never admission-controlled;
 metrics render the server's telemetry registry in Prometheus text
@@ -152,7 +153,13 @@ class CoherenceService:
         return self._served
 
     async def start(self) -> None:
-        """Bind the listening socket and install the telemetry session."""
+        """Start every pool worker, bind the listening socket and install
+        the telemetry session."""
+        if self.workers > 1:
+            # A new pool starts every worker: do it before accepting.
+            await asyncio.get_running_loop().run_in_executor(
+                None, get_pool, self.workers
+            )
         if self._session is None:
             # instrument_machines=False: the server wants request-level
             # observability, not per-step machine events — and an

@@ -84,10 +84,10 @@ def _inject_delay() -> None:
 def run_replay(spec_payload: dict, handle: TraceHandle | None) -> dict:
     """Execute one replay; returns the cache-codec stats payload.
 
-    Runs the same stats-only replays as ``repro-experiments``
+    Runs the same replays as ``repro-experiments``
     (:func:`repro.experiments.common.replay_directory` and
-    :meth:`BusMachine.replay_counters`), so families shipping their own
-    machines replay on them here too.
+    :meth:`BusMachine.run`), so families shipping their own machines
+    replay on them here too.
     """
     _inject_delay()
     spec = ReplaySpec.from_payload(spec_payload)
@@ -102,9 +102,8 @@ def run_replay(spec_payload: dict, handle: TraceHandle | None) -> dict:
         return resultcache.encode_message_stats(stats)
     config = common.bus_config(spec.cache_size, spec.block_size,
                                spec.num_procs)
-    counters = BusMachine.replay_counters(
-        trace, config, make_snooping_protocol(spec.policy))
-    return resultcache.encode_bus_stats(counters.bus_stats)
+    stats = BusMachine(config, make_snooping_protocol(spec.policy)).run(trace)
+    return resultcache.encode_bus_stats(stats)
 
 
 #: name -> (run, render).  Experiments execute serially inside the

@@ -15,7 +15,6 @@ directory protocols that Section 4.3 highlights).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.cache.core import Cache, CacheLine, make_cache
@@ -28,24 +27,13 @@ from repro.snooping.protocols import SnoopingProtocol
 from repro.snooping.states import SnoopState as St
 
 
-@dataclass(frozen=True, slots=True)
-class BusCounters:
-    """Every counter of one bus replay, without its final state.
-
-    Returned by :meth:`BusMachine.replay_counters`; the fields are the
-    machine's own counter objects.
-    """
-
-    bus_stats: BusStats
-    cache_stats: CacheStats
-
-
 class BusMachine:
     """A bus-based multiprocessor running one snooping protocol."""
 
     __slots__ = (
         "config", "protocol", "caches", "bus_stats", "cache_stats",
         "step_hook", "_check", "_block_shift", "_latest", "_version_counter",
+        "__weakref__",
     )
 
     #: Named kernel-fallback reason a subclass replay records (the
@@ -86,57 +74,24 @@ class BusMachine:
         table-driven kernel when it is inside the kernel envelope, and
         every other replay — each kernel fallback named and counted —
         takes the generic per-access loop, fed from ``iter_packed``
-        when the trace is columnar.  Install a step hook *before*
-        calling ``run``.
-        """
-        if not self._kernel_replay(trace, final_state=True):
-            self._generic_replay(trace)
-        return self.bus_stats
-
-    @classmethod
-    def replay_counters(
-        cls,
-        trace: Iterable[Access],
-        config: MachineConfig,
-        protocol: SnoopingProtocol,
-        **machine_kwargs,
-    ) -> BusCounters:
-        """Replay ``trace`` on a fresh machine and return only its counters.
-
-        The stats-only replay, like
-        :meth:`repro.system.machine.DirectoryMachine.replay_counters`:
-        the machine is built as ``cls(config, protocol,
-        **machine_kwargs)`` and dispatches exactly like :meth:`run`, but
-        an engaged kernel skips the final-state backfill of cache lines,
-        and the machine never leaves this method.
-        """
-        machine = cls(config, protocol, **machine_kwargs)
-        if not machine._kernel_replay(trace, final_state=False):
-            machine._generic_replay(trace)
-        return BusCounters(machine.bus_stats, machine.cache_stats)
-
-    def _kernel_replay(self, trace, final_state: bool) -> bool:
-        """Try the table-driven kernel; whether it replayed ``trace``.
-
-        Falls back exactly as
-        :meth:`repro.system.machine.DirectoryMachine._kernel_replay`.
+        when the trace is columnar.  An engaged kernel's final cache
+        lines are decoded when first read (:mod:`repro.kernels.pending`).
+        Install a step hook *before* calling ``run``.
         """
         pack = getattr(trace, "pack", None)
-        if pack is None or self._check or self.step_hook is not None:
-            return False
-        if type(self) is not BusMachine:
-            from repro.kernels import registry as kernel_registry
+        if pack is not None and not self._check and self.step_hook is None:
+            if type(self) is BusMachine:
+                from repro.kernels.snooping import try_replay
 
-            kernel_registry.record_fallback(
-                "bus", self.kernel_fallback_reason
-            )
-            return False
-        from repro.kernels.snooping import try_replay
+                result = try_replay(self, pack())
+                if result is not None:
+                    return result
+            else:
+                from repro.kernels import registry as kernel_registry
 
-        return try_replay(self, pack(), final_state) is not None
-
-    def _generic_replay(self, trace) -> None:
-        """The reference per-access loop over ``trace``."""
+                kernel_registry.record_fallback(
+                    "bus", self.kernel_fallback_reason
+                )
         access = self.access
         packer = getattr(trace, "iter_packed", None)
         if packer is not None:  # columnar traces skip Access boxing
@@ -145,6 +100,7 @@ class BusMachine:
         else:
             for acc in trace:
                 access(acc.proc, acc.op is Op.WRITE, acc.addr)
+        return self.bus_stats
 
     def access(self, proc: int, is_write: bool, addr: int) -> None:
         """Process one reference from ``proc`` to byte address ``addr``."""

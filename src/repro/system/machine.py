@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.cache.core import Cache, CacheLine, make_cache
@@ -64,20 +63,6 @@ class CState(enum.Enum):
     EXCL = "exclusive"  # write permission (dirty bit says if modified)
 
 
-@dataclass(frozen=True, slots=True)
-class DirectoryCounters:
-    """Every counter of one directory replay, without its final state.
-
-    Returned by :meth:`DirectoryMachine.replay_counters`; the fields
-    are the machine's own counter objects.
-    """
-
-    stats: MessageStats
-    cache_stats: CacheStats
-    invalidation_sizes: Counter
-    transitions: Counter
-
-
 class DirectoryMachine:
     """A 16-node (configurable) CC-NUMA multiprocessor model."""
 
@@ -86,7 +71,7 @@ class DirectoryMachine:
         "block_messages", "caches", "stats", "cache_stats",
         "invalidation_sizes", "step_hook",
         "_check", "_block_shift", "_page_shift", "_home_shift",
-        "_latest", "_version_counter",
+        "_latest", "_version_counter", "__weakref__",
     )
 
     #: Named kernel-fallback reason a subclass replay records (the
@@ -151,70 +136,30 @@ class DirectoryMachine:
         checker and no step hook runs on the table-driven kernel
         (:mod:`repro.kernels`) when it is inside the kernel envelope —
         bit-identical statistics and final state, more than an order of
-        magnitude faster.  Every other replay, including each named and
-        counted kernel fallback, takes the generic per-access loop,
-        which columnar traces feed straight from ``iter_packed`` with
-        no :class:`Access` boxing.  The hook contract is symmetric with
+        magnitude faster.  Its counters are written at once; the final
+        cache lines and directory entries are decoded when first read
+        (:mod:`repro.kernels.pending`), so a caller that reads only the
+        counters never pays for them.  Every other replay, including
+        each named and counted kernel fallback, takes the generic
+        per-access loop, which columnar traces feed straight from
+        ``iter_packed`` with no :class:`Access` boxing.  The hook contract is symmetric with
         :meth:`repro.snooping.machine.BusMachine.run`: install the hook
         *before* calling ``run``.
         """
-        if not self._kernel_replay(trace, final_state=True):
-            self._generic_replay(trace)
-        return self.stats
-
-    @classmethod
-    def replay_counters(
-        cls,
-        trace: Iterable[Access],
-        config: MachineConfig,
-        policy: AdaptivePolicy,
-        placement: PagePlacement | None = None,
-        **machine_kwargs,
-    ) -> DirectoryCounters:
-        """Replay ``trace`` on a fresh machine and return only its counters.
-
-        The stats-only replay, for callers that read the counters and
-        drop the machine: the machine is built as
-        ``cls(config, policy, placement, **machine_kwargs)`` and
-        dispatches exactly like :meth:`run` (the same kernel envelope,
-        the same one named fallback), but an engaged kernel skips the
-        final-state backfill of cache lines and directory entries.  The
-        machine never leaves this method, so nothing can observe it
-        half-populated.  First-touch homes still land in ``placement``,
-        which callers share across replays.
-        """
-        machine = cls(config, policy, placement, **machine_kwargs)
-        if not machine._kernel_replay(trace, final_state=False):
-            machine._generic_replay(trace)
-        return DirectoryCounters(
-            machine.stats, machine.cache_stats,
-            machine.invalidation_sizes, machine.protocol.transitions,
-        )
-
-    def _kernel_replay(self, trace, final_state: bool) -> bool:
-        """Try the table-driven kernel; whether it replayed ``trace``.
-
-        A replay the kernel declines is counted as one named fallback
-        (a subclass under its ``kernel_fallback_reason``) and leaves the
-        machine untouched.  Checked and hooked replays, and traces that
-        cannot pack, go to the generic loop without a fallback.
-        """
         pack = getattr(trace, "pack", None)
-        if pack is None or self._check or self.step_hook is not None:
-            return False
-        if type(self) is not DirectoryMachine:
-            from repro.kernels import registry as kernel_registry
+        if pack is not None and not self._check and self.step_hook is None:
+            if type(self) is DirectoryMachine:
+                from repro.kernels.directory import try_replay
 
-            kernel_registry.record_fallback(
-                "directory", self.kernel_fallback_reason
-            )
-            return False
-        from repro.kernels.directory import try_replay
+                result = try_replay(self, pack())
+                if result is not None:
+                    return result
+            else:
+                from repro.kernels import registry as kernel_registry
 
-        return try_replay(self, pack(), final_state) is not None
-
-    def _generic_replay(self, trace) -> None:
-        """The reference per-access loop over ``trace``."""
+                kernel_registry.record_fallback(
+                    "directory", self.kernel_fallback_reason
+                )
         access = self.access
         packer = getattr(trace, "iter_packed", None)
         if packer is not None:  # columnar traces skip Access boxing
@@ -223,6 +168,7 @@ class DirectoryMachine:
         else:
             for acc in trace:
                 access(acc.proc, acc.op is Op.WRITE, acc.addr)
+        return self.stats
 
     def run_with_hints(
         self, trace: Iterable[Access], hints: Iterable[bool]

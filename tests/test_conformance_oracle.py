@@ -60,8 +60,8 @@ class TestFaultInjection:
     ])
     def test_stream_stat_skew_caught(self, monkeypatch, replay_cls, prefix):
         # Every segment's feed credits one phantom read hit; the batch
-        # kernel and stats-only replays stay correct, so only the
-        # streamed replay can expose it.
+        # kernel replay stays correct, so only the streamed replay can
+        # expose it.
         feed = replay_cls.feed
 
         def skewed(self, packed):

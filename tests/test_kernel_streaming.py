@@ -1,6 +1,6 @@
 """The streaming kernel backend (:mod:`repro.kernels.streaming`).
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 * **Chunk-boundary equivalence** — feeding a trace in segments of any
   size (including segments that split a block's accesses arbitrarily)
@@ -16,6 +16,10 @@ Three contracts are pinned here:
   constructor without touching the machine, and the
   :func:`replay_stream` convenience converts that into a counted
   fallback onto ``machine.run`` with identical results.
+* **Pending state** — ``finish()`` writes the counters and leaves the
+  per-block state packed; reading only counters never decodes it, and
+  the first read of the caches, the entries or an ``access()`` decodes
+  exactly the generic loop's state.
 """
 
 import tracemalloc
@@ -27,7 +31,7 @@ from repro.common.config import CacheConfig, MachineConfig
 from repro.common.errors import ProtocolError
 from repro.common.stats import BusStats, CacheStats, MessageStats
 from repro.directory.policy import AGGRESSIVE, BASIC
-from repro.kernels import registry
+from repro.kernels import pending, registry
 from repro.kernels.streaming import (
     BusStreamReplay,
     DirectoryStreamReplay,
@@ -298,3 +302,62 @@ class TestEnvelope:
         replay_stream(machine, packed, chunk=2)
         assert registry.fallbacks[("directory-stream", "symbol-range")] == 1
         assert _dir_state(machine) == _dir_state(reference)
+
+
+#: ``label -> (machine factory, counters, full state)`` per engine.
+ENGINES = {
+    "directory": (lambda: DirectoryMachine(_config(), AGGRESSIVE),
+                  lambda m: (m.stats, m.cache_stats, m.invalidation_sizes,
+                             m.protocol.transitions),
+                  _dir_state),
+    "first-touch": (lambda: DirectoryMachine(
+                        _config(), BASIC, placement=FirstTouchPlacement()),
+                    lambda m: (m.stats, m.cache_stats, m.invalidation_sizes,
+                               m.protocol.transitions),
+                    _dir_state),
+    "bus": (lambda: BusMachine(_config(), AdaptiveSnoopingProtocol()),
+            lambda m: (m.bus_stats, m.cache_stats), _bus_state),
+}
+
+#: The first read of a pending machine, applied alike to the generic
+#: reference machine.
+FIRST_READS = {
+    "caches": lambda machine: [len(cache) for cache in machine.caches],
+    "entries": lambda machine: len(machine.protocol.entries),
+    "access": lambda machine: machine.access(2, False, 1 << 14),
+}
+
+
+def _streamed_pair(engine):
+    """A streamed replay and the generic loop's, on one engine."""
+    make = ENGINES[engine][0]
+    packed = _packed()
+    machine = make()
+    replay_stream(machine, packed, chunk=97)
+    reference = make()
+    with registry.disabled():
+        reference.run(packed)
+    return machine, reference
+
+
+class TestPendingState:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_finish_leaves_state_pending(self, engine):
+        machine, reference = _streamed_pair(engine)
+        counters = ENGINES[engine][1]
+        assert counters(machine) == counters(reference)
+        assert type(machine.caches) is pending.StandIn
+        if engine != "bus":
+            assert type(machine.protocol._entries) is pending.StandIn
+
+    @pytest.mark.parametrize("engine,read", [
+        (engine, read) for engine in ENGINES for read in FIRST_READS
+        if not (engine == "bus" and read == "entries")
+    ])
+    def test_first_read_decodes_the_generic_state(self, engine, read):
+        machine, reference = _streamed_pair(engine)
+        FIRST_READS[read](machine)
+        FIRST_READS[read](reference)
+        assert type(machine.caches) is list
+        state = ENGINES[engine][2]
+        assert state(machine) == state(reference)

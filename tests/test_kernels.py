@@ -1,14 +1,18 @@
 """The table-driven replay kernels of :mod:`repro.kernels`.
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 * **Equivalence** — on kernel-eligible replays, every statistic and
   every piece of final microarchitectural state (cache lines with dirty
   bits and competitive counters, directory entries with copy sets,
   invalidators and evidence streaks, classification transitions) is
   identical to the generic engines', across the full policy/protocol
-  matrix and every cache geometry; and the stats-only replays
-  (``replay_counters``) count exactly what ``run()`` counts.
+  matrix and every cache geometry.
+* **Pending state** — an engaged replay's counters are exact while its
+  final state is still packed: reading only counters never decodes it,
+  and the first read of the caches, the directory entries, an
+  ``access()`` or a second ``run()`` decodes exactly the generic
+  loop's state.
 * **Gating** — anything outside the kernel envelope (subclassed
   components, observation hooks, random replacement, stale machines,
   processor counts past the wide cap, the kill switches) silently falls
@@ -19,6 +23,10 @@ Three contracts are pinned here:
   axis by reachability for thresholded policies and produces stable,
   behaviour-keyed digests.
 """
+
+import gc
+import pickle
+import weakref
 
 import pytest
 
@@ -33,7 +41,7 @@ from repro.directory.policy import (
     AdaptivePolicy,
 )
 from repro.directory.representation import LimitedPointerDirectory
-from repro.kernels import registry
+from repro.kernels import pending, registry
 from repro.kernels.tables import (
     compile_dir_rows,
     compile_snoop_rows,
@@ -142,26 +150,32 @@ def _run_directory(policy, cache_size, *, disabled, **kwargs):
     return machine
 
 
-def _dir_counters(counters):
-    """Every counter of a directory replay, from a machine or from
-    :meth:`DirectoryMachine.replay_counters`."""
-    stats = counters.stats
-    transitions = getattr(counters, "transitions", None)
-    if transitions is None:
-        transitions = counters.protocol.transitions
+def _dir_counters(machine):
+    """Every counter of a directory replay."""
+    stats = machine.stats
     return {
         "short": stats.short,
         "data": stats.data,
         "by_cause_short": stats.by_cause_short,
         "by_cause_data": stats.by_cause_data,
-        "cache_stats": counters.cache_stats,
-        "invalidation_sizes": counters.invalidation_sizes,
-        "transitions": transitions,
+        "cache_stats": machine.cache_stats,
+        "invalidation_sizes": machine.invalidation_sizes,
+        "transitions": machine.protocol.transitions,
     }
 
 
-def _assert_dir_stats_only_matches_run(policy, cache_size):
-    """The stats-only replay counts exactly what ``run()`` counts and
+def _is_pending(machine) -> bool:
+    """Whether ``machine``'s per-block state is still undecoded."""
+    caches_pending = type(machine.caches) is pending.StandIn
+    if isinstance(machine, DirectoryMachine):
+        assert (type(machine.protocol._entries) is pending.StandIn
+                ) is caches_pending
+    return caches_pending
+
+
+def _assert_dir_counters_match_decoded_run(policy, cache_size):
+    """A ``run()`` read only through its counters keeps its final state
+    pending and counts exactly what a decoded ``run()`` counts, and
     engages the kernel alike, on the default placement and on a
     first-touch one, whose homes it must assign identically."""
     for placement in (None, FirstTouchPlacement):
@@ -169,21 +183,23 @@ def _assert_dir_stats_only_matches_run(policy, cache_size):
         before = registry.engagements["directory"]
         full = _run_directory(policy, cache_size, disabled=False,
                               placement=run_placement)
+        _dir_state(full)
         engaged = registry.engagements["directory"] - before
         only_placement = placement and placement()
-        counters = DirectoryMachine.replay_counters(
-            _trace(), _config(cache_size), policy, only_placement)
+        counted = _run_directory(policy, cache_size, disabled=False,
+                                 placement=only_placement)
         assert registry.engagements["directory"] - before == 2 * engaged
-        assert _dir_counters(counters) == _dir_counters(full)
+        assert _dir_counters(counted) == _dir_counters(full)
+        assert _is_pending(counted) == bool(engaged)
         if placement is not None:
             assert only_placement._homes == run_placement._homes
 
 
-def _bus_counters(counters):
+def _bus_counters(machine):
     return {
-        "bus_stats": counters.bus_stats,
-        "by_kind": counters.bus_stats.by_kind,
-        "cache_stats": counters.cache_stats,
+        "bus_stats": machine.bus_stats,
+        "by_kind": machine.bus_stats.by_kind,
+        "cache_stats": machine.cache_stats,
     }
 
 
@@ -208,7 +224,7 @@ class TestDirectoryEquivalence:
         assert registry.engagements["directory"] == (1 if eligible else 0)
         legacy = _run_directory(policy, cache_size, disabled=True)
         assert _dir_state(kernel) == _dir_state(legacy)
-        _assert_dir_stats_only_matches_run(policy, cache_size)
+        _assert_dir_counters_match_decoded_run(policy, cache_size)
 
 
 class TestBusEquivalence:
@@ -222,10 +238,10 @@ class TestBusEquivalence:
         assert registry.engagements["bus"] == (1 if eligible else 0)
         legacy = _run_bus(factory, cache_size, disabled=True)
         assert _bus_state(kernel) == _bus_state(legacy)
-        counters = BusMachine.replay_counters(
-            _trace(), _config(cache_size), factory())
+        counted = _run_bus(factory, cache_size, disabled=False)
         assert registry.engagements["bus"] == (2 if eligible else 0)
-        assert _bus_counters(counters) == _bus_counters(kernel)
+        assert _bus_counters(counted) == _bus_counters(kernel)
+        assert _is_pending(counted) == eligible
 
 
 class TestGating:
@@ -469,22 +485,164 @@ class TestOracleKernelStage:
         assert failure.stage == "kernel-diff"
         assert failure.engine.startswith("directory-kernel[")
 
-    def test_skewed_stats_only_replay_is_caught(self, monkeypatch):
-        # A drift confined to the stats-only replay (run() stays exact)
-        # is caught by its own comparison in the kernel-diff stage.
-        from repro.kernels import directory
+    @pytest.mark.parametrize("engine", ["directory", "bus"])
+    def test_dropped_decoded_line_is_caught(self, engine, monkeypatch):
+        # A decode that loses one line leaves every counter exact.  The
+        # kernel-diff stage reads the counters while the state is
+        # pending, then the decoded state, and fails on the lost line:
+        # for the batch kernel, and for the streaming kernel once the
+        # batch kernel declines.
+        from repro.kernels import directory, snooping
 
-        original = directory.try_replay
+        original = pending.defer
 
-        def skewed(machine, packed, final_state=True):
-            result = original(machine, packed, final_state)
-            if result is not None and not final_state:
-                machine.stats.data += 1
-            return result
+        def lossy(machine, fill, protocol=None):
+            def fill_then_drop(caches, entries):
+                fill(caches, entries)
+                for cache in caches:
+                    for block in cache.resident_blocks():
+                        cache.remove(block)
+                        return
 
-        monkeypatch.setattr(directory, "try_replay", skewed)
-        failure = oracle.run_case(generate_case(3, "kernel"))
+            is_directory = isinstance(machine, DirectoryMachine)
+            if is_directory == (engine == "directory"):
+                original(machine, fill_then_drop, protocol)
+            else:
+                original(machine, fill, protocol)
+
+        monkeypatch.setattr(pending, "defer", lossy)
+        case = generate_case(3, "kernel")
+        assert case.cache_size is None  # so the stream replay runs too
+        failure = oracle.run_case(case)
         assert failure is not None
         assert failure.stage == "kernel-diff"
-        assert failure.engine.startswith("directory-stats-only[")
-        assert "data: generic=" in failure.detail
+        assert failure.engine.startswith(f"{engine}-kernel[")
+        assert failure.detail.startswith("lines: generic=")
+        kernel = directory if engine == "directory" else snooping
+        monkeypatch.setattr(kernel, "try_replay", lambda machine, packed: None)
+        failure = oracle.run_case(case)
+        assert failure is not None
+        assert failure.stage == "kernel-diff"
+        assert failure.engine.startswith(f"{engine}-stream[")
+        assert failure.detail.startswith("lines: generic=")
+
+
+#: Geometries of the pending-state tests: infinite caches, and tiny
+#: LRU and FIFO caches whose conflict sets decode from the group walks'
+#: final recency.
+PENDING_GEOMETRIES = {
+    "infinite": CacheConfig(size_bytes=None, block_size=16),
+    "lru": CacheConfig(size_bytes=64, block_size=16),
+    "fifo": CacheConfig(size_bytes=64, block_size=16, replacement="fifo"),
+}
+
+#: ``label -> (machine factory, counters, full state)`` per engine.
+PENDING_ENGINES = {
+    "directory": (lambda config: DirectoryMachine(config, BASIC),
+                  _dir_counters, _dir_state),
+    "first-touch": (lambda config: DirectoryMachine(
+                        config, BASIC, placement=FirstTouchPlacement()),
+                    _dir_counters, _dir_state),
+    "bus": (lambda config: BusMachine(config, CompetitiveUpdateProtocol(2)),
+            _bus_counters, _bus_state),
+}
+
+#: The first read of a pending machine, applied alike to the generic
+#: reference machine.
+FIRST_READS = {
+    "caches": lambda machine: [len(cache) for cache in machine.caches],
+    "entries": lambda machine: machine.protocol.entries.get(0),
+    "access": lambda machine: machine.access(1, True, 0),
+    "run": lambda machine: machine.run(_trace()),
+}
+
+
+def _pending_pair(engine, geometry):
+    """A kernel replay and the generic loop's, on one engine."""
+    make = PENDING_ENGINES[engine][0]
+    config = MachineConfig(num_procs=NUM_PROCS,
+                           cache=PENDING_GEOMETRIES[geometry])
+    registry.engagements.clear()
+    kernel = make(config)
+    kernel.run(_trace())
+    assert sum(registry.engagements.values()) == 1
+    generic = make(config)
+    with registry.disabled():
+        generic.run(_trace())
+    return kernel, generic
+
+
+class TestPendingState:
+    """An engaged replay's final state is decoded on first read only."""
+
+    @pytest.mark.parametrize("geometry", PENDING_GEOMETRIES)
+    @pytest.mark.parametrize("engine", PENDING_ENGINES)
+    def test_counters_leave_state_pending(self, engine, geometry):
+        kernel, generic = _pending_pair(engine, geometry)
+        counters = PENDING_ENGINES[engine][1]
+        assert counters(kernel) == counters(generic)
+        assert _is_pending(kernel)
+        if geometry != "infinite":
+            # Guard the geometry: the group walks really evicted.
+            stats = kernel.cache_stats
+            assert stats.evictions_dirty + stats.evictions_clean > 0
+
+    @pytest.mark.parametrize("geometry", PENDING_GEOMETRIES)
+    @pytest.mark.parametrize("engine,read", [
+        (engine, read) for engine in PENDING_ENGINES for read in FIRST_READS
+        if not (engine == "bus" and read == "entries")
+    ])
+    def test_first_read_decodes_the_generic_state(self, engine, read,
+                                                  geometry):
+        kernel, generic = _pending_pair(engine, geometry)
+        FIRST_READS[read](kernel)
+        FIRST_READS[read](generic)
+        assert not _is_pending(kernel)
+        state = PENDING_ENGINES[engine][2]
+        assert state(kernel) == state(generic)
+
+    @pytest.mark.parametrize("engine", PENDING_ENGINES)
+    def test_pickled_pending_machine_carries_the_decoded_state(self, engine):
+        kernel, generic = _pending_pair(engine, "lru")
+        copied = pickle.loads(pickle.dumps(kernel))
+        assert not _is_pending(copied)
+        state = PENDING_ENGINES[engine][2]
+        assert state(copied) == state(generic)
+
+    @pytest.mark.parametrize("engine", PENDING_ENGINES)
+    def test_unread_machine_is_freed_without_the_cycle_collector(
+            self, engine):
+        # Nothing the pending state holds refers back to the machine, so
+        # dropping an unread machine frees it (and its packed state) at
+        # once, as callers that read only counters do on every replay.
+        kernel, _ = _pending_pair(engine, "lru")
+        assert _is_pending(kernel)
+        gc.disable()
+        try:
+            ref = weakref.ref(kernel)
+            del kernel
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_decode_runs_once(self, monkeypatch):
+        fills = []
+        original = pending.defer
+
+        def counted(machine, fill, protocol=None):
+            def counted_fill(caches, entries):
+                fills.append(1)
+                fill(caches, entries)
+
+            original(machine, counted_fill, protocol)
+
+        monkeypatch.setattr(pending, "defer", counted)
+        kernel, _ = _pending_pair("directory", "lru")
+        entries = kernel.protocol.entries  # the stand-in, until decoded
+        kernel.caches[0].lookup(0)
+        assert not _is_pending(kernel)
+        # A stand-in kept past the decode reads the real entries.
+        assert len(entries) == len(kernel.protocol.entries) > 0
+        assert entries.items() == kernel.protocol.entries.items()
+        kernel.run(_trace())
+        assert fills == [1]

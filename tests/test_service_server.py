@@ -483,3 +483,23 @@ class TestDrain:
             await draining
 
         asyncio.run(main())
+
+
+class TestPoolStart:
+    def test_every_pool_worker_is_alive_before_the_first_request(
+            self, monkeypatch):
+        # A pool started on demand spawns a worker per submit only while
+        # none is idle; the server starts them all before it accepts.
+        from repro import parallel
+
+        monkeypatch.setenv("REPRO_PARALLEL_CLAMP", "off")
+        parallel.shutdown_pool(wait=True)
+
+        async def body(service, client):
+            processes = parallel.get_pool(service.workers)._processes
+            assert len(processes) == service.workers == 2
+            assert all(p.is_alive() for p in processes.values())
+            health = await client.healthz()
+            assert health["workers"] == 2
+
+        run_with_server(body, jobs=2)
