@@ -20,10 +20,14 @@ and asserts the two contracts the kernels ship under:
   the decoded final state — every cache line, every directory entry —
   must equal the object engine's too.
 
-Both contracts are checked twice per machine: once on the infinite
-64K-cache throughput geometry and once on a finite 256-byte cache
-whose conflict sets force real evictions through the eviction-aware
-group walks (the run is rejected if no eviction actually happened).
+Both contracts are checked twice per machine: once on the
+conflict-free 64K-cache throughput geometry and once on a finite
+256-byte cache whose conflict sets force real evictions through the
+eviction-aware group walks (the run is rejected if no eviction actually
+happened).  On both, the kernel and object-engine machines then replay
+a short tail trace on top, and the counters and the lines, compared in
+each finite cache's set and recency order, must still match: the tail's
+fills evict by the order the kernel run decoded.
 A final pass replays the same packed trace through the streaming
 backend at several chunk sizes and diffs the results, counters and
 decoded state, against the batch kernel — chunk boundaries must be
@@ -43,6 +47,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.config import CacheConfig, MachineConfig  # noqa: E402
+from repro.conformance.oracle import _final_lines  # noqa: E402
 from repro.directory.policy import AGGRESSIVE  # noqa: E402
 from repro.kernels import registry  # noqa: E402
 from repro.kernels.pending import StandIn  # noqa: E402
@@ -75,6 +80,18 @@ STREAM_CFG = MachineConfig(num_procs=16,
 STREAM_CHUNKS = (1, 257, 4096)
 
 
+def _tail():
+    """A short trace replayed on top of the finite-geometry runs: new
+    blocks sharing the workload's sets, so its fills evict by the order
+    the first run left."""
+    return synth.interleave(
+        [synth.migratory(num_procs=16, num_objects=8, visits=6,
+                         base=1 << 12, seed=4),
+         synth.read_shared(num_procs=16, num_objects=8, rounds=2,
+                           base=1 << 21, seed=5)],
+        chunk=8, seed=6)
+
+
 def _trace():
     return synth.interleave(
         [synth.migratory(num_procs=16, num_objects=16, visits=50, seed=1),
@@ -99,10 +116,12 @@ def _diff(label, kind, pairs, reference="object-engine") -> list[str]:
 
 
 def _check_machine(name, make, trace, stats_of, state_of, *, label=None,
-                   require_evictions=False) -> list[str]:
+                   require_evictions=False, tail=None) -> list[str]:
     """Time kernel vs generic and diff the kernel run against the object
     engine, its counters while its final state is pending, then the
-    decoded state; returns failure descriptions (empty = clean)."""
+    decoded state, then (given a ``tail`` trace) both machines after
+    replaying ``tail`` on top; returns failure descriptions (empty =
+    clean)."""
     problems = []
     label = label or name
 
@@ -140,9 +159,16 @@ def _check_machine(name, make, trace, stats_of, state_of, *, label=None,
                         "decoded before anything read it")
     problems += _diff(label, "decoded",
                       state_of(kernel_machine, generic_machine))
+    if tail is not None:
+        # The decoded per-set order is what the tail's fills evict by.
+        kernel_machine.run(tail)
+        generic_machine.run(list(tail))
+        problems += _diff(label, "continued",
+                          stats_of(kernel_machine, generic_machine)
+                          + state_of(kernel_machine, generic_machine))
     if not problems:
         print(f"{label}: kernel stats and decoded state match the object "
-              "engine")
+              "engine" + (", and after a tail replay" if tail else ""))
     return problems
 
 
@@ -190,17 +216,8 @@ def _bus_stats(a, b):
     ]
 
 
-def _lines(machine):
-    out = []
-    for proc, cache in enumerate(machine.caches):
-        for block in sorted(cache.resident_blocks()):
-            line = cache.lookup(block)
-            out.append((proc, block, line.state, line.dirty, line.counter))
-    return out
-
-
 def _bus_state(a, b):
-    return [("lines", _lines(a), _lines(b))]
+    return [("lines", _final_lines(a), _final_lines(b))]
 
 
 def _directory_state(a, b):
@@ -214,6 +231,7 @@ def _directory_state(a, b):
 
 def main() -> int:
     trace = _trace()
+    tail = _tail()
     # Resolve the packed columns once so neither timing pays for packing.
     packed = trace.pack()
     packed.block_sequences(4)
@@ -225,11 +243,12 @@ def main() -> int:
             "directory", lambda: DirectoryMachine(cfg, AGGRESSIVE),
             trace, _directory_stats, _directory_state,
             label=f"directory{suffix}", require_evictions=evicting,
+            tail=tail,
         )
         problems += _check_machine(
             "bus", lambda: BusMachine(cfg, AdaptiveSnoopingProtocol()),
             trace, _bus_stats, _bus_state, label=f"bus{suffix}",
-            require_evictions=evicting,
+            require_evictions=evicting, tail=tail,
         )
     problems += _check_streaming(
         "directory", lambda: DirectoryMachine(STREAM_CFG, AGGRESSIVE),

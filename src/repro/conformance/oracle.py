@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.cache.core import InfiniteCache
 from repro.common.errors import ReproError
 from repro.common.types import Op
 from repro.conformance.fuzzer import FuzzCase
@@ -173,12 +174,18 @@ def _cache_stats_fields(stats) -> list[tuple[str, object]]:
 def _final_lines(machine) -> list[tuple]:
     """Every resident cache line as (proc, block, state, dirty, counter).
 
-    Line versions are deliberately excluded: they belong to the checker,
-    which only runs on the generic replay.
+    A finite cache's lines come in ``resident_blocks()`` order (set
+    index, then recency, oldest first), since later fills observe that
+    order through their victims; an infinite cache's come sorted, since
+    nothing observes theirs.  Line versions are deliberately excluded:
+    they belong to the checker, which only runs on the generic replay.
     """
     out = []
     for proc, cache in enumerate(machine.caches):
-        for block in sorted(cache.resident_blocks()):
+        blocks = cache.resident_blocks()
+        if isinstance(cache, InfiniteCache):
+            blocks = sorted(blocks)
+        for block in blocks:
             line = cache.lookup(block)
             out.append((proc, block, line.state, line.dirty, line.counter))
     return out

@@ -12,9 +12,13 @@ are cached per (home, sequence), so re-replaying a workload — the
 result-cache warm path, sweeps over policies sharing traffic patterns —
 reduces to dictionary lookups and integer adds.
 
-Finite geometries replay on the same tables.  Cache sets that can never
-evict (distinct blocks <= ways) keep the independent per-block walks;
-each *conflict* set replays as one interleaved group walk
+Finite geometries replay on the same tables.  A processor's cache
+holds only lines that processor filled itself (:func:`_expand` refuses
+any edge that gives another processor a line), so a set can evict only
+if some processor touches more than ``ways`` of its blocks
+(:meth:`PackedTrace.set_streams`).  Every other set keeps the
+independent per-block walks, whatever its total block count; each
+*conflict* set replays as one interleaved group walk
 (:func:`_walk_dir_group`) that carries per-processor recency order
 beside the per-block DFA nodes, charges each replacement through the
 compiled ``uncached`` rows, and re-enters the victim's walk at its
@@ -34,7 +38,9 @@ the caller then runs the generic loop, keeping behavior identical.
 When it engages it writes every counter the generic loop would and
 leaves the final cache lines and directory entries pending
 (:mod:`repro.kernels.pending`): :func:`_decode` writes them from the
-final packed keys when the machine's per-block state is first read.
+final packed keys when the machine's per-block state is first read,
+in the order the generic loop leaves them wherever a later access
+could observe it (:func:`_order_free_sets`).
 """
 
 from __future__ import annotations
@@ -217,6 +223,12 @@ def _expand(table, home: int, node: list, sym: int):
             inv_size = ncopies
         new_lines = 3 << (2 * proc)  # all other copies invalidated
         nli = proc + 1
+    # Only the requester may gain a line: PackedTrace.set_streams rules
+    # out evictions per processor on that premise.
+    low = ((1 << shift2) - 1) // 3  # the low bit of every 2-bit field
+    if ((new_lines | new_lines >> 1) & ~(lines | lines >> 1)
+            & low & ~(1 << (2 * proc))):
+        raise KernelUnsupported("an edge fills another processor's line")
     nkey = (new_lines | (nds << shift2) | (nstreak << (shift2 + 3))
             | (nli << (shift2 + 10)))
     # The third slot holds the lazily-computed eviction metadata
@@ -395,6 +407,53 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
             (ev_short, ev_data, ev_dirty, ev_clean, forget))
 
 
+def _group_walk(table, homes: tuple, stream, ways: int, lru: bool):
+    """:func:`_walk_dir_group`, memoised per (geometry, homes, stream)."""
+    group_key = (ways, lru, homes, stream.tobytes())
+    result = table.group_results.get(group_key)
+    if result is None:
+        result = _walk_dir_group(table, homes, stream, ways, lru)
+        table.cache_group_result(group_key, result)
+    return result
+
+
+def _order_free_sets(table, packed, geometry, page_home, home_shift, finals):
+    """Move the blocks of never-evicting sets whose line order is
+    observable out of ``finals`` and into recency groups.
+
+    A set in which some processor ends up holding two or more lines has
+    an observable order: a later fill into that processor's full set
+    picks its victim by it, and the per-block walks keep no order.  Those
+    sets' streams replay through the group walk, which cannot evict
+    there (no processor touches more than ``ways`` of their blocks) and
+    orders each processor's lines by last touch (LRU) or last fill (FIFO
+    and random), as the cache does.  Returns ``(finals, groups)`` in
+    :func:`_decode`'s forms.
+    """
+    block_shift, num_sets, ways, lru = geometry
+    lines_mask = (1 << (2 * table.num_procs)) - 1
+    held: set[tuple[int, int]] = set()
+    ordered: set[int] = set()
+    for block, final_key in finals:
+        set_idx = block % num_sets
+        for p, _ in _members(final_key & lines_mask):
+            if (set_idx, p) in held:
+                ordered.add(set_idx)
+            else:
+                held.add((set_idx, p))
+    if not ordered:
+        return finals, ()
+    groups = []
+    streams = packed.streams_of(block_shift, num_sets, sorted(ordered))
+    for blocks, stream in streams.values():
+        ghomes = tuple(page_home(b >> home_shift) for b in blocks)
+        _vec, _inv, gfinals, recency, _ev = _group_walk(
+            table, ghomes, stream, ways, lru)
+        groups.append((blocks, gfinals, recency))
+    finals = [(b, k) for b, k in finals if b % num_sets not in ordered]
+    return finals, groups
+
+
 def try_replay(machine, packed):
     """Replay ``packed`` on the kernel, or return ``None`` untouched.
 
@@ -405,10 +464,11 @@ def try_replay(machine, packed):
     packable (<= 1024); and a fresh machine.  Finite geometries replay
     eviction-aware: sets that can never evict take the independent
     per-block walks, conflict sets take the grouped recency walks.  The
-    genuinely unsupported leftovers fall back honestly by reason:
-    random replacement (its RNG draws are unobservable from here) and
-    silent clean evictions (``eviction_notification=False`` leaves the
-    directory's copy set stale, outside the packed-state encoding).
+    genuinely unsupported leftovers, with conflict sets only, fall back
+    honestly by reason: random replacement (its RNG draws are
+    unobservable from here) and silent clean evictions
+    (``eviction_notification=False`` leaves the directory's copy set
+    stale, outside the packed-state encoding).
 
     An engaged replay writes every counter into the machine (message
     and cache statistics, invalidation sizes, protocol transitions,
@@ -458,19 +518,18 @@ def try_replay(machine, packed):
     ways = 0
     if finite:
         ways = config.cache.associativity
+        lru = config.cache.replacement == "lru"
         conflicts = packed.set_streams(
             machine._block_shift, config.cache.num_sets, ways
         )
         if conflicts:
-            replacement = config.cache.replacement
-            if replacement == "random":
+            if config.cache.replacement == "random":
                 # The per-cache replacement RNG is unobservable here.
                 return _fallback("replacement-random")
             if not config.eviction_notification:
                 # Silent clean evictions leave stale copy-set members the
                 # packed single-bitmask state cannot represent.
                 return _fallback("eviction-silent")
-            lru = replacement == "lru"
     try:
         table = registry.dir_table(machine.policy, num_procs)
     except KernelUnsupported:
@@ -487,9 +546,9 @@ def try_replay(machine, packed):
             if page not in homes_map:
                 sym0 = (seq[0] | seq[1] << 8) if wide else seq[0]
                 new_homes[page] = homes_map[page] = sym0 >> 1
-        home_of = homes_map.__getitem__
+        page_home = homes_map.__getitem__
     else:
-        home_of = None
+        page_home = partial(placement.home, accessor=0)
     conflict_blocks: set[int] = set()
     for blocks, _stream in conflicts.values():
         conflict_blocks.update(blocks)
@@ -504,8 +563,7 @@ def try_replay(machine, packed):
         for block, seq in seqs.items():
             if block in conflict_blocks:
                 continue
-            page = block >> home_shift
-            home = home_of(page) if first_touch else placement.home(page, 0)
+            home = page_home(block >> home_shift)
             seq_key = (home, seq, 1) if wide else (home, seq)
             result = seq_results.get(seq_key)
             if result is None:
@@ -519,17 +577,9 @@ def try_replay(machine, packed):
                 inv_sizes[size] = inv_sizes.get(size, 0) + count
             finals.append((block, final_key))
         for blocks, stream in conflicts.values():
-            ghomes = tuple(
-                home_of(b >> home_shift) if first_touch
-                else placement.home(b >> home_shift, 0)
-                for b in blocks
-            )
-            group_key = (ways, lru, ghomes, stream.tobytes())
-            result = table.group_results.get(group_key)
-            if result is None:
-                result = _walk_dir_group(table, ghomes, stream, ways, lru)
-                table.cache_group_result(group_key, result)
-            vec, inv, gfinals, recency, gev = result
+            ghomes = tuple(page_home(b >> home_shift) for b in blocks)
+            vec, inv, gfinals, recency, gev = _group_walk(
+                table, ghomes, stream, ways, lru)
             totals = [a + b for a, b in zip(totals, vec)]
             for size, count in inv:
                 inv_sizes[size] = inv_sizes.get(size, 0) + count
@@ -545,8 +595,13 @@ def try_replay(machine, packed):
         _apply_evictions(machine, ev_totals)
     if new_homes:
         placement._homes.update(new_homes)
-    pending.defer(machine, partial(_decode, finals, groups, 2 * num_procs),
-                  protocol)
+    order = None
+    if finite:
+        order = partial(_order_free_sets, table, packed,
+                        (machine._block_shift, config.cache.num_sets, ways,
+                         lru), page_home, home_shift)
+    pending.defer(machine, partial(_decode, finals, groups, 2 * num_procs,
+                                   order=order), protocol)
     registry.engagements["directory"] += 1
     if machine.step_hook is not None:
         raise ProtocolError(
@@ -602,19 +657,24 @@ def _apply_counters(machine, totals, inv_sizes) -> None:
         machine.invalidation_sizes.update(inv_sizes)
 
 
-def _decode(finals, groups, shift2: int, caches, entries) -> None:
+def _decode(finals, groups, shift2: int, caches, entries, order=None) -> None:
     """Write the walks' final per-block state into a machine's cache
     list and directory entry dict.
 
     Each block of ``finals`` (the independent walks' ``(block,
     final_key)`` pairs) gets its directory entry and its cache lines,
-    re-inserted in first-touch block order: these blocks' sets never
-    evicted, so the recency order is unobservable and this canonical
-    order is as good as the historical one.  Each conflict set of
+    re-inserted in first-touch block order.  Each conflict set of
     ``groups`` re-inserts every processor's lines in the walk's final
     recency order (oldest first), so the per-set ordering, observable
-    by any further accesses, matches the generic loop's exactly.
+    by any further accesses, matches the generic loop's exactly.  On a
+    finite geometry, ``order`` (:func:`_order_free_sets`) first moves
+    the never-evicting sets whose order is observable from ``finals``
+    into such groups; in every other set a processor holds at most one
+    line, or the cache is infinite, and the order is unobservable.
     """
+    if order is not None:
+        finals, ordered = order(finals)
+        groups = [*groups, *ordered]
     from repro.system.machine import CState
 
     shared, excl = CState.SHARED, CState.EXCL

@@ -10,8 +10,11 @@ not depend on a home node, so one sub-DFA covers every block), and
 replays each block's symbol sequence as a tight walk appending one
 interned delta index per access.
 
-Finite geometries replay on the same tables: cache sets that can never
-evict keep the per-block walks, and each conflict set replays as one
+Finite geometries replay on the same tables.  Only the requester ever
+gains a line (:func:`_expand` refuses any edge that breaks this), so a
+set can evict only if some processor touches more than ``ways`` of its
+blocks (:meth:`PackedTrace.set_streams`): every other set keeps the
+per-block walks, and each conflict set replays as one
 interleaved group walk (:func:`_walk_bus_group`) carrying per-processor
 recency order, popping LRU/FIFO victims exactly as
 ``SetAssociativeCache.insert`` does (a dirty victim is one writeback
@@ -33,7 +36,9 @@ the replay falls outside the kernel envelope; the caller then runs the
 generic loop, keeping behavior identical.  When it engages it writes
 every counter the generic loop would and leaves the final cache lines
 pending (:mod:`repro.kernels.pending`): :func:`_decode` writes them
-from the final packed keys when the machine's caches are first read.
+from the final packed keys when the machine's caches are first read,
+in the order the generic loop leaves them wherever a later access
+could observe it (:func:`_order_free_sets`).
 """
 
 from __future__ import annotations
@@ -175,6 +180,11 @@ def _expand(table, node: list, sym: int):
         if fill is None:
             fill = (rows.write_cold[0], 0)
         nkey |= (fill[0] | fill[1] << 3) << shift
+    # Only the requester may gain a line: PackedTrace.set_streams rules
+    # out evictions per processor on that premise.
+    held = {p for p, _s, _c in _holders(key, fb, proc)}
+    if any(p not in held for p, _s, _c in _holders(nkey, fb, proc)):
+        raise KernelUnsupported("an edge fills another processor's line")
     # The third slot holds the lazily-computed eviction metadata
     # (miss/removal summary) the group walks need; plain walks never
     # touch it (see _edge_meta).
@@ -325,6 +335,50 @@ def _walk_bus_group(table, count: int, stream, ways: int, lru: bool):
             (writebacks, ev_dirty, ev_clean))
 
 
+def _group_walk(table, count: int, stream, ways: int, lru: bool):
+    """:func:`_walk_bus_group`, memoised per (geometry, stream)."""
+    group_key = (ways, lru, stream.tobytes())
+    result = table.group_results.get(group_key)
+    if result is None:
+        result = _walk_bus_group(table, count, stream, ways, lru)
+        table.cache_group_result(group_key, result)
+    return result
+
+
+def _order_free_sets(table, packed, geometry, finals):
+    """Move the blocks of never-evicting sets whose line order is
+    observable out of ``finals`` and into recency groups.
+
+    The bus analogue of :func:`repro.kernels.directory._order_free_sets`:
+    a set in which some processor ends up holding two or more lines
+    replays its stream through the group walk, which cannot evict there
+    and orders each processor's lines by last touch (LRU) or last fill
+    (FIFO and random).  Returns ``(finals, groups)`` in :func:`_decode`'s
+    forms.
+    """
+    block_shift, num_sets, ways, lru = geometry
+    fb = table.field_bits
+    held: set[tuple[int, int]] = set()
+    ordered: set[int] = set()
+    for block, final_key in finals:
+        set_idx = block % num_sets
+        for p, _s, _c in _holders(final_key, fb, -1):
+            if (set_idx, p) in held:
+                ordered.add(set_idx)
+            else:
+                held.add((set_idx, p))
+    if not ordered:
+        return finals, ()
+    groups = []
+    streams = packed.streams_of(block_shift, num_sets, sorted(ordered))
+    for blocks, stream in streams.values():
+        _vec, gfinals, recency, _ev = _group_walk(
+            table, len(blocks), stream, ways, lru)
+        groups.append((blocks, gfinals, recency))
+    finals = [(b, k) for b, k in finals if b % num_sets not in ordered]
+    return finals, groups
+
+
 def try_replay(machine, packed):
     """Replay ``packed`` on the kernel, or return ``None`` untouched.
 
@@ -333,9 +387,9 @@ def try_replay(machine, packed):
     (checked by the compiler); processor ids packable (<= 1024); and a
     fresh machine.  Finite geometries replay eviction-aware: sets that
     can never evict take the independent per-block walks, conflict sets
-    take the grouped recency walks.  Random replacement is the one
-    genuinely unsupported finite geometry (its RNG draws are
-    unobservable from here) and falls back by that name.
+    take the grouped recency walks.  Random replacement with conflict
+    sets is the one genuinely unsupported finite geometry (its RNG
+    draws are unobservable from here) and falls back by that name.
 
     An engaged replay writes every counter into the machine (bus and
     cache statistics, eviction totals).  The final cache lines stay
@@ -370,15 +424,13 @@ def try_replay(machine, packed):
     ways = 0
     if finite:
         ways = config.cache.associativity
+        lru = config.cache.replacement == "lru"
         conflicts = packed.set_streams(
             machine._block_shift, config.cache.num_sets, ways
         )
-        if conflicts:
-            replacement = config.cache.replacement
-            if replacement == "random":
-                # The per-cache replacement RNG is unobservable here.
-                return _fallback("replacement-random")
-            lru = replacement == "lru"
+        if conflicts and config.cache.replacement == "random":
+            # The per-cache replacement RNG is unobservable here.
+            return _fallback("replacement-random")
     family_reason = getattr(machine.protocol, "kernel_fallback_reason", None)
     if family_reason is not None:
         # The protocol family declares itself outside the DFA
@@ -412,12 +464,8 @@ def try_replay(machine, packed):
             totals = [a + b for a, b in zip(totals, vec)]
             finals.append((block, final_key))
         for blocks, stream in conflicts.values():
-            group_key = (ways, lru, stream.tobytes())
-            result = table.group_results.get(group_key)
-            if result is None:
-                result = _walk_bus_group(table, len(blocks), stream, ways, lru)
-                table.cache_group_result(group_key, result)
-            vec, gfinals, recency, gev = result
+            vec, gfinals, recency, gev = _group_walk(
+                table, len(blocks), stream, ways, lru)
             totals = [a + b for a, b in zip(totals, vec)]
             ev_totals = tuple(a + b for a, b in zip(ev_totals, gev))
             groups.append((blocks, gfinals, recency))
@@ -429,7 +477,13 @@ def try_replay(machine, packed):
     _apply_counters(machine, totals)
     if any(ev_totals):
         _apply_evictions(machine, ev_totals)
-    pending.defer(machine, partial(_decode, finals, groups, table.field_bits))
+    order = None
+    if finite:
+        order = partial(_order_free_sets, table, packed,
+                        (machine._block_shift, config.cache.num_sets, ways,
+                         lru))
+    pending.defer(machine, partial(_decode, finals, groups, table.field_bits,
+                                   order=order))
     registry.engagements["bus"] += 1
     if machine.step_hook is not None:
         raise ProtocolError(
@@ -472,19 +526,24 @@ def _apply_counters(machine, totals) -> None:
             bus.by_kind[kind] += totals[i]
 
 
-def _decode(finals, groups, fb: int, caches, entries) -> None:
+def _decode(finals, groups, fb: int, caches, entries, order=None) -> None:
     """Write the walks' final per-block lines into a machine's cache
     list (``entries`` is unused: bus machines keep no directory).
 
     The lines of ``finals`` (the independent walks' ``(block,
-    final_key)`` pairs) are re-inserted in first-touch block order:
-    these blocks' sets never evicted, so the recency order is
-    unobservable and this canonical order is as good as the historical
-    one.  Each conflict set of ``groups`` re-inserts every processor's
-    lines in the walk's final recency order (oldest first), so the
-    per-set ordering, observable by any further accesses, matches the
-    generic loop's exactly.
+    final_key)`` pairs) are re-inserted in first-touch block order.
+    Each conflict set of ``groups`` re-inserts every processor's lines
+    in the walk's final recency order (oldest first), so the per-set
+    ordering, observable by any further accesses, matches the generic
+    loop's exactly.  On a finite geometry, ``order``
+    (:func:`_order_free_sets`) first moves the never-evicting sets whose
+    order is observable from ``finals`` into such groups; in every other
+    set a processor holds at most one line, or the cache is infinite,
+    and the order is unobservable.
     """
+    if order is not None:
+        finals, ordered = order(finals)
+        groups = [*groups, *ordered]
     mask = (1 << fb) - 1
     for block, final_key in finals:
         p = 0

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -184,41 +185,95 @@ class PackedTrace:
     ) -> dict[int, tuple[tuple[int, ...], array]]:
         """Interleaved access streams for the cache sets that can evict.
 
-        Groups accesses by cache set (``block % num_sets``).  A set whose
-        distinct-block count is at most ``ways`` can never evict — every
-        processor's per-set occupancy is bounded by the set's distinct
-        blocks — so those blocks stay on the independent per-block walk.
-        For each remaining *conflict* set the result maps ``set_index ->
-        (blocks, stream)`` where ``blocks`` is the set's block numbers in
-        first-touch order and ``stream`` is an ``array('q')`` of
-        ``(dense_block_id << 32) | (proc * 2 + is_write)`` entries
-        preserving the set's program order (``dense_block_id`` indexes
-        ``blocks``).  Eviction-aware kernel walks consume these streams
-        directly; memoised for the most recent geometry triple.
+        A processor's cache holds only lines that processor filled
+        itself (no coherence action fills a line for anyone but the
+        requester; the kernels' edge growth checks this), so its copy of
+        a set can fill up only if it touches more than ``ways`` of the
+        set's blocks.  A set in which no processor does can never evict,
+        however many blocks it holds in all, and its blocks stay on the
+        independent per-block walks.  The test reads each block's
+        processors off the memoised symbol sequences (a pass over
+        blocks, not accesses), and only the *conflict* sets it finds get
+        a stream (see :meth:`streams_of`).  Memoised for the most recent
+        geometry triple.
         """
         key = (block_shift, num_sets, ways)
         if self._streams_key != key:
-            dense_ids: dict[int, dict[int, int]] = {}
-            streams: dict[int, array] = {}
-            for proc, is_write, block in zip(
-                self.procs, self.ops, self.blocks_column(block_shift)
-            ):
-                set_idx = block % num_sets
-                ids = dense_ids.get(set_idx)
-                if ids is None:
-                    ids = dense_ids[set_idx] = {}
-                    streams[set_idx] = array("q")
-                dense = ids.get(block)
-                if dense is None:
-                    dense = ids[block] = len(ids)
-                streams[set_idx].append((dense << 32) | (proc * 2 + is_write))
-            self._streams = {
-                set_idx: (tuple(ids), streams[set_idx])
-                for set_idx, ids in dense_ids.items()
-                if len(ids) > ways
-            }
+            self._streams = self.streams_of(
+                block_shift, num_sets,
+                self._conflict_sets(block_shift, num_sets, ways),
+            )
             self._streams_key = key
         return self._streams
+
+    def _symbol_sequences(self, block_shift: int) -> dict[int, bytes]:
+        """The per-block symbol split in the encoding the kernels use."""
+        if self.num_procs > 128:
+            return self.block_sequences_wide(block_shift)
+        return self.block_sequences(block_shift)
+
+    def _conflict_sets(
+        self, block_shift: int, num_sets: int, ways: int
+    ) -> list[int]:
+        """Indices of the sets some processor touches more than ``ways``
+        blocks of, in first-touch order."""
+        seqs = self._symbol_sequences(block_shift)
+        wide = self.num_procs > 128
+        by_set: dict[int, list[bytes]] = {}
+        for block, seq in seqs.items():
+            set_idx = block % num_sets
+            members = by_set.get(set_idx)
+            if members is None:
+                by_set[set_idx] = [seq]
+            else:
+                members.append(seq)
+        conflicts = []
+        for set_idx, members in by_set.items():
+            if len(members) <= ways:
+                continue  # too few blocks for any processor to overflow
+            footprint: Counter = Counter()
+            for seq in members:
+                syms = set(memoryview(seq).cast("H") if wide else seq)
+                footprint.update({sym >> 1 for sym in syms})
+            if max(footprint.values()) > ways:
+                conflicts.append(set_idx)
+        return conflicts
+
+    def streams_of(
+        self, block_shift: int, num_sets: int, sets: Iterable[int]
+    ) -> dict[int, tuple[tuple[int, ...], array]]:
+        """Interleaved access streams of the given cache sets.
+
+        The result maps ``set_index -> (blocks, stream)`` in the order
+        of ``sets``, where ``blocks`` is the set's block numbers in
+        first-touch order and ``stream`` is an ``array('q')`` of
+        ``(dense_block_id << 32) | (proc * 2 + is_write)`` entries
+        preserving the set's program order (``dense_block_id`` indexes
+        ``blocks``).  The eviction-aware kernel walks consume these
+        streams directly.  Not memoised (see :meth:`set_streams`).
+        """
+        members: dict[int, list[int]] = {set_idx: [] for set_idx in sets}
+        if not members:
+            return {}
+        where: dict[int, tuple[int, int]] = {}
+        for block in self._symbol_sequences(block_shift):
+            set_idx = block % num_sets
+            blocks = members.get(set_idx)
+            if blocks is not None:
+                where[block] = (set_idx, len(blocks) << 32)
+                blocks.append(block)
+        streams = {set_idx: array("q") for set_idx in members}
+        get = where.get
+        for proc, is_write, block in zip(
+            self.procs, self.ops, self.blocks_column(block_shift)
+        ):
+            hit = get(block)
+            if hit is not None:
+                streams[hit[0]].append(hit[1] | (proc * 2 + is_write))
+        return {
+            set_idx: (tuple(blocks), streams[set_idx])
+            for set_idx, blocks in members.items()
+        }
 
     def segments(self, chunk: int) -> Iterator["PackedTrace"]:
         """Yield the trace as column-sliced chunks of ``chunk`` accesses.

@@ -7,14 +7,17 @@ Four contracts are pinned here:
   bits and competitive counters, directory entries with copy sets,
   invalidators and evidence streaks, classification transitions) is
   identical to the generic engines', across the full policy/protocol
-  matrix and every cache geometry.
+  matrix and every cache geometry; finite caches' lines are compared
+  in set and recency order, which later fills observe.
 * **Pending state** — an engaged replay's counters are exact while its
   final state is still packed: reading only counters never decodes it,
   and the first read of the caches, the directory entries, an
   ``access()`` or a second ``run()`` decodes exactly the generic
-  loop's state.
+  loop's state, so a kernel ``run(a)`` then ``run(b)`` equals the
+  generic ``run(a + b)``.
 * **Gating** — anything outside the kernel envelope (subclassed
-  components, observation hooks, random replacement, stale machines,
+  components, observation hooks, random replacement on a set some
+  processor overflows, stale machines,
   processor counts past the wide cap, the kill switches) silently falls
   back to the generic loop with identical results and no engagement.
   Tiny evicting caches, first-touch placement, and processor counts up
@@ -26,11 +29,13 @@ Four contracts are pinned here:
 
 import gc
 import pickle
+import random
 import weakref
 
 import pytest
 
 from repro.common.config import CacheConfig, MachineConfig
+from repro.common.types import Access, Op
 from repro.conformance import oracle
 from repro.conformance.fuzzer import generate_case
 from repro.directory.policy import (
@@ -43,6 +48,7 @@ from repro.directory.policy import (
 from repro.directory.representation import LimitedPointerDirectory
 from repro.kernels import pending, registry
 from repro.kernels.tables import (
+    KernelUnsupported,
     compile_dir_rows,
     compile_snoop_rows,
     dir_table_digest,
@@ -61,6 +67,7 @@ from repro.snooping.update_protocols import (
 from repro.system.machine import DirectoryMachine
 from repro.system.placement import BestStaticPlacement, FirstTouchPlacement
 from repro.trace import synth
+from repro.trace.packed import PackedTrace
 
 NUM_PROCS = 6
 
@@ -104,15 +111,6 @@ def _config(cache_size=None):
     )
 
 
-def _lines(machine):
-    out = []
-    for proc, cache in enumerate(machine.caches):
-        for block in sorted(cache.resident_blocks()):
-            line = cache.lookup(block)
-            out.append((proc, block, line.state, line.dirty, line.counter))
-    return out
-
-
 def _dir_state(machine):
     return {
         "short": machine.stats.short,
@@ -127,7 +125,7 @@ def _dir_state(machine):
                     ent.last_invalidator, ent.streak)
             for block, ent in machine.protocol.entries.items()
         },
-        "lines": _lines(machine),
+        "lines": oracle._final_lines(machine),
     }
 
 
@@ -136,7 +134,7 @@ def _bus_state(machine):
         "bus_stats": machine.bus_stats,
         "by_kind": machine.bus_stats.by_kind,
         "cache_stats": machine.cache_stats,
-        "lines": _lines(machine),
+        "lines": oracle._final_lines(machine),
     }
 
 
@@ -646,3 +644,138 @@ class TestPendingState:
         assert entries.items() == kernel.protocol.entries.items()
         kernel.run(_trace())
         assert fills == [1]
+
+
+#: Per-processor block footprints over one 4-way set (a 64-byte cache
+#: of 16-byte blocks).  ``fits``: eight blocks share the set, but no
+#: processor touches more than four, so the set never evicts and its
+#: blocks take the per-block walks.  ``overflows``: processor 0 touches
+#: six, so the set conflicts and takes the group walk.
+CONTINUATION_FOOTPRINTS = {
+    "fits": ((0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7), (6, 7, 0, 1)),
+    "overflows": ((0, 1, 2, 3, 4, 5), (2, 3, 4, 5), (4, 5, 6, 7),
+                  (6, 7, 0, 1)),
+}
+
+
+def _footprint_trace(footprints, length: int, seed: int) -> PackedTrace:
+    """``length`` seeded accesses, each processor within its footprint."""
+    rng = random.Random(seed)
+    accesses = []
+    for _ in range(length):
+        proc = rng.randrange(len(footprints))
+        op = Op.WRITE if rng.random() < 0.3 else Op.READ
+        accesses.append(Access(proc, op, 16 * rng.choice(footprints[proc])))
+    return PackedTrace.from_accesses(accesses)
+
+
+def _set_config(replacement: str) -> MachineConfig:
+    return MachineConfig(
+        num_procs=4,
+        cache=CacheConfig(size_bytes=64, block_size=16,
+                          replacement=replacement))
+
+
+class TestContinuation:
+    """A kernel ``run(a)`` followed by ``run(b)`` leaves exactly the
+    state of the generic loop's ``run(a + b)``: the decoded per-set
+    order is what the second run's fills evict by."""
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random"])
+    @pytest.mark.parametrize("footprints", CONTINUATION_FOOTPRINTS)
+    @pytest.mark.parametrize("engine", ["directory", "bus"])
+    def test_kernel_then_generic_equals_generic(self, engine, footprints,
+                                                replacement):
+        make, _counters, state = PENDING_ENGINES[engine]
+        config = _set_config(replacement)
+        tail_footprints = [range(10)] * 4  # the tail overflows every set
+        for seed in range(4):
+            head = _footprint_trace(CONTINUATION_FOOTPRINTS[footprints],
+                                    60, seed)
+            tail = _footprint_trace(tail_footprints, 30, seed + 100)
+            conflicts = head.set_streams(4, 1, 4)
+            assert bool(conflicts) == (footprints == "overflows")
+            registry.engagements.clear()
+            kernel = make(config)
+            kernel.run(head)
+            # Random replacement engages wherever no set can evict.
+            assert sum(registry.engagements.values()) == (
+                0 if conflicts and replacement == "random" else 1)
+            kernel.run(tail)
+            generic = make(config)
+            with registry.disabled():
+                generic.run(PackedTrace(head.procs + tail.procs,
+                                        head.ops + tail.ops,
+                                        head.addrs + tail.addrs))
+            assert state(kernel) == state(generic)
+
+    def test_the_lru_bug_repro_counts_like_the_generic_loop(self):
+        # Processor 0 reads 0, 1, 2, 3, 0 and then 4, 0: the second 0 is
+        # a hit only if the first run left block 1, not 0, least recent.
+        def reads(*blocks):
+            return PackedTrace.from_accesses(
+                [Access(0, Op.READ, 16 * b) for b in blocks])
+
+        config = MachineConfig(num_procs=2,
+                               cache=CacheConfig(size_bytes=64, block_size=16))
+        for make in (lambda: DirectoryMachine(config, BASIC),
+                     lambda: BusMachine(config, MesiProtocol())):
+            machine = make()
+            machine.run(reads(0, 1, 2, 3, 0))
+            machine.run(reads(4, 0))
+            stats = machine.cache_stats
+            assert (stats.read_hits, stats.read_misses,
+                    stats.evictions_clean) == (2, 5, 1)
+
+
+class TestRandomReplacement:
+    @pytest.mark.parametrize("engine", ["directory", "bus"])
+    def test_engages_when_every_processor_fits_its_sets(self, engine):
+        make, _counters, state = PENDING_ENGINES[engine]
+        config = _set_config("random")
+        trace = _footprint_trace(CONTINUATION_FOOTPRINTS["fits"], 60, 0)
+        registry.engagements.clear()
+        registry.fallbacks.clear()
+        kernel = make(config)
+        kernel.run(trace)
+        assert sum(registry.engagements.values()) == 1
+        assert not registry.fallbacks
+        generic = make(config)
+        with registry.disabled():
+            generic.run(trace)
+        assert state(kernel) == state(generic)
+
+
+class TestOwnLinesPremise:
+    """Per-processor conflict classification assumes only a requester
+    gains a line; an edge breaking that is refused, not walked."""
+
+    def test_directory_edge(self, monkeypatch):
+        from repro.kernels import directory
+
+        table = registry._KernelTable(compile_dir_rows(CONVENTIONAL), 2, 2)
+        root_key = table.rows.initial_state << 4
+        root = table.node((0, root_key), root_key)
+        # Claim processor 1 holds the block clean-exclusive: the read
+        # miss's revocation then writes a SHARED line for processor 1.
+        monkeypatch.setattr(directory, "_members", lambda lines: [(1, 2)])
+        with pytest.raises(KernelUnsupported, match="another processor"):
+            directory._expand(table, 0, root, 0)
+
+    def test_bus_edge(self, monkeypatch):
+        from repro.kernels import snooping
+
+        rows = compile_snoop_rows(MesiProtocol())
+        table = registry._KernelTable(
+            rows, 2, 3 + rows.counter_threshold.bit_length())
+        held = next(s for (s, _c), (ns, *_rest) in rows.read_react.items()
+                    if s and ns)
+        # The first snoop reports a holder processor 1 does not have; its
+        # reaction then writes processor 1's field.
+        real = snooping._holders
+        fake = iter([[(1, held, 0)]])
+        monkeypatch.setattr(snooping, "_holders",
+                            lambda key, fb, skip: next(fake, None)
+                            or real(key, fb, skip))
+        with pytest.raises(KernelUnsupported, match="another processor"):
+            snooping._expand(table, table.node(0, 0), 0)

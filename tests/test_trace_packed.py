@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.config import CacheConfig, MachineConfig
 from repro.common.errors import TraceError
-from repro.common.types import Op, read, write
+from repro.common.types import Access, Op, read, write
 from repro.directory.policy import AGGRESSIVE
 from repro.system.machine import DirectoryMachine
 from repro.trace import diskcache, synth
@@ -78,6 +78,50 @@ class TestPackedTrace:
         path.write_bytes(bytes(raw))
         with pytest.raises(TraceError, match="write flags"):
             PackedTrace.load(path)
+
+
+class TestSetStreams:
+    """Conflict sets are classified per processor, not per set."""
+
+    # Two sets of two ways, 16-byte blocks.  Set 0 holds blocks 0, 2
+    # and 4, but processor 0 touches only 0 and 2, processor 1 only 2
+    # and 4: three blocks, yet no processor can fill the set.  In set 1
+    # processor 2 alone touches blocks 1, 3 and 5: a conflict set.
+    ACCESSES = [read(0, 0), write(1, 32), read(2, 16), read(0, 32),
+                write(2, 48), read(1, 64), read(2, 80), write(2, 16)]
+
+    def test_only_sets_a_processor_overflows_conflict(self):
+        packed = PackedTrace.from_accesses(self.ACCESSES, "t")
+        streams = packed.set_streams(4, 2, 2)
+        assert list(streams) == [1]
+        blocks, stream = streams[1]
+        assert blocks == (1, 3, 5)
+        # (dense id << 32) | proc * 2 + is_write, in program order.
+        assert list(stream) == [(0 << 32) | 4, (1 << 32) | 5,
+                                (2 << 32) | 4, (0 << 32) | 5]
+        # A third way holds every processor's footprint.
+        assert packed.set_streams(4, 2, 3) == {}
+
+    def test_streams_of_builds_any_set(self):
+        packed = PackedTrace.from_accesses(self.ACCESSES, "t")
+        streams = packed.streams_of(4, 2, [0, 1])
+        assert list(streams) == [0, 1]
+        blocks, stream = streams[0]
+        assert blocks == (0, 2, 4)
+        assert list(stream) == [(0 << 32) | 0, (1 << 32) | 3,
+                                (1 << 32) | 0, (2 << 32) | 2]
+        assert streams[1] == packed.set_streams(4, 2, 2)[1]
+        assert packed.streams_of(4, 2, []) == {}
+
+    def test_wide_traces_classify_alike(self):
+        # Past 128 processors the symbols no longer fit a byte; the
+        # classification reads the 16-bit split instead.
+        wide = [Access(acc.proc + 200, acc.op, acc.addr)
+                for acc in self.ACCESSES]
+        packed = PackedTrace.from_accesses(wide, "t")
+        streams = packed.set_streams(4, 2, 2)
+        assert list(streams) == [1]
+        assert streams[1][0] == (1, 3, 5)
 
 
 class TestTracePacking:
