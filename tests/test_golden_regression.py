@@ -11,10 +11,14 @@ replacement, notification, and classification-memory paths are all
 exercised.
 """
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.common.config import CacheConfig, MachineConfig
-from repro.directory.policy import PAPER_POLICIES
+from repro.directory.policy import BASIC, CONVENTIONAL, PAPER_POLICIES
 from repro.snooping.machine import BusMachine
 from repro.snooping.protocols import (
     AdaptiveSnoopingProtocol,
@@ -26,7 +30,12 @@ from repro.snooping.update_protocols import (
     WriteUpdateProtocol,
 )
 from repro.system.machine import DirectoryMachine
+from repro.timing.bus_eventsim import BusEventSimulator
+from repro.timing.eventsim import EventDrivenSimulator
 from repro.trace import synth
+from repro.verification import cli as verify_cli
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def golden_trace():
@@ -120,3 +129,91 @@ def test_golden_ordering_story():
     adaptive = BUS_GOLDEN["adaptive"]
     assert adaptive[0] == mesi[0]  # identical read misses
     assert adaptive[2] < mesi[2] / 10  # >90% of invalidations removed
+
+
+EVENT_TIMING_GOLDEN = {
+    "conventional": {
+        "per_proc_cycles": [121635, 125139, 109881, 111464, 122378,
+                            113876, 116640, 105979],
+        "total_references": 5144,
+        "miss_count": 2056,
+        "read_miss_count": 1054,
+        "read_miss_cycles": 314328,
+        "queue_wait_cycles": 374760,
+        "service_cycles": 117144,
+    },
+    "basic": {
+        "per_proc_cycles": [96050, 99992, 86117, 87951, 94994, 92764,
+                            92464, 84213],
+        "total_references": 5144,
+        "miss_count": 1657,
+        "read_miss_count": 1071,
+        "read_miss_cycles": 272182,
+        "queue_wait_cycles": 233790,
+        "service_cycles": 89208,
+    },
+}
+
+BUS_TIMING_GOLDEN = {
+    "mesi": {
+        "per_proc_cycles": [58641, 62317, 50330, 52503, 59785, 54956,
+                            54218, 49706],
+        "total_references": 5144,
+        "bus_busy_cycles": 47328,
+        "queue_wait_cycles": 83313,
+        "transactions": 1972,
+        "busy_by_kind": {"write_miss": 3744, "read_miss": 25200,
+                         "invalidation": 18312, "writeback": 72},
+    },
+    "adaptive": {
+        "per_proc_cycles": [51361, 55886, 44209, 45908, 52693, 49275,
+                            47826, 43425],
+        "total_references": 5144,
+        "bus_busy_cycles": 35520,
+        "queue_wait_cycles": 42755,
+        "transactions": 1480,
+        "busy_by_kind": {"write_miss": 4680, "read_miss": 24840,
+                         "invalidation": 5904, "writeback": 96},
+    },
+}
+
+
+def _fields(result) -> dict:
+    return {field.name: getattr(result, field.name)
+            for field in dataclasses.fields(result)}
+
+
+@pytest.mark.parametrize("policy", [CONVENTIONAL, BASIC],
+                         ids=lambda p: p.name)
+def test_event_timing_golden(policy):
+    # The contended directory simulator, every result field pinned.
+    machine = DirectoryMachine(CONFIG, policy)
+    result = EventDrivenSimulator(machine).run(golden_trace())
+    assert _fields(result) == EVENT_TIMING_GOLDEN[policy.name]
+
+
+@pytest.mark.parametrize("make_protocol",
+                         [MesiProtocol, AdaptiveSnoopingProtocol],
+                         ids=list(BUS_TIMING_GOLDEN))
+def test_bus_timing_golden(make_protocol):
+    protocol = make_protocol()
+    machine = BusMachine(CONFIG, protocol)
+    result = BusEventSimulator(machine).run(golden_trace())
+    assert _fields(result) == BUS_TIMING_GOLDEN[protocol.name]
+
+
+def test_default_verify_certificate(tmp_path, capsys):
+    """``repro-verify --procs 2 --blocks 1`` certifies exactly the
+    checked-in certificate (the package version aside)."""
+    path = tmp_path / "certificate.json"
+    assert verify_cli.main([
+        "--procs", "2", "--blocks", "1", "--certificate", str(path),
+        "--artifacts", str(tmp_path / "artifacts"),
+    ]) == 0
+    capsys.readouterr()
+    certificate = json.loads(path.read_text())
+    certificate.pop("package_version")
+    golden = json.loads(
+        (GOLDEN_DIR / "verify-certificate-2p1b.json").read_text()
+    )
+    assert certificate == golden

@@ -5,7 +5,11 @@ import pytest
 from repro.common.config import CacheConfig, MachineConfig
 from repro.common.types import read, write
 from repro.directory.policy import BASIC, CONVENTIONAL
+from repro.snooping.machine import BusMachine
+from repro.snooping.protocols import MesiProtocol
 from repro.system.machine import DirectoryMachine
+from repro.system.placement import BestStaticPlacement
+from repro.timing.bus_eventsim import BusEventSimulator, BusTimingParams
 from repro.timing.eventsim import EventDrivenSimulator, EventTimingParams
 from repro.trace import synth
 from repro.trace.core import Trace
@@ -117,3 +121,74 @@ class TestContentionExperiment:
         assert row.read_miss_latency_reduction_pct > 0
         assert row.adaptive_contention_share <= row.base_contention_share
         assert "contention" in contention.render(rows)
+
+
+class TestMachineRepairman:
+    """The merged simulator against a closed queueing system.
+
+    N processors each alternate a fixed think time Z with one
+    transaction of fixed service S at a single FIFO server.  With
+    deterministic times every processor settles into a cycle of
+    max(Z + S, N * S): think-bound while the server keeps up,
+    server-bound once N * S exceeds Z + S.  After K transactions each
+    processor's clock must therefore lie within one round (N * S) of
+    K * max(Z + S, N * S), and the server's utilization at
+    min(1, N * S / (Z + S)).
+    """
+
+    K = 50
+
+    def _check_cycles(self, per_proc_cycles, n, think, service):
+        expected = self.K * max(think + service, n * service)
+        for cycles in per_proc_cycles:
+            assert abs(cycles - expected) <= n * service, (
+                n, cycles, expected
+            )
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_bus(self, n):
+        # Every access is a cold read miss on its own block: one bus
+        # transaction each, so S = bus_cycles and Z = the compute
+        # allowance.
+        params = BusTimingParams(hit_cycles=1, bus_cycles=24,
+                                 compute_cycles_per_ref=60)
+        trace = Trace([read(proc, 16 * (proc * self.K + i))
+                       for i in range(self.K) for proc in range(n)])
+        cfg = MachineConfig(num_procs=n,
+                            cache=CacheConfig(size_bytes=None,
+                                              block_size=16))
+        result = BusEventSimulator(
+            BusMachine(cfg, MesiProtocol()), params
+        ).run(trace)
+        think, service = params.compute_cycles_per_ref, params.bus_cycles
+        assert result.transactions == n * self.K
+        self._check_cycles(result.per_proc_cycles, n, think, service)
+        expected = min(1.0, n * service / (think + service))
+        # One round of slack in the makespan is at most 1/(K-1) of it.
+        assert result.utilization == pytest.approx(
+            expected, abs=1 / (self.K - 1)
+        )
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_directory(self, n):
+        # N issuing processors plus one idle node that homes every
+        # page: each cold read miss is a request and a reply, so
+        # S = 2 * occupancy and both network legs join the think time.
+        params = EventTimingParams(hit_cycles=1, network_cycles=30,
+                                   occupancy_cycles=18,
+                                   compute_cycles_per_ref=60)
+        trace = Trace([read(proc, 16 * (proc * self.K + i))
+                       for i in range(self.K) for proc in range(n)])
+        cfg = MachineConfig(num_procs=n + 1,
+                            cache=CacheConfig(size_bytes=None,
+                                              block_size=16))
+        pages = {acc.addr // cfg.page_size for acc in trace}
+        placement = BestStaticPlacement(dict.fromkeys(pages, n), n + 1)
+        machine = DirectoryMachine(cfg, CONVENTIONAL, placement)
+        result = EventDrivenSimulator(machine, params).run(trace)
+        think = params.compute_cycles_per_ref + 2 * params.network_cycles
+        service = 2 * params.occupancy_cycles
+        assert result.miss_count == n * self.K
+        assert result.service_cycles == n * self.K * service
+        self._check_cycles(result.per_proc_cycles[:n], n, think, service)
+        assert result.per_proc_cycles[n] == 0
