@@ -8,7 +8,7 @@ infrastructure that any later change can be run against:
 * :mod:`repro.conformance.invariants` — the single source of truth for
   the copyset/classification safety invariants of Figure 3, shared by
   the machines' built-in checkers, the model checker in
-  :mod:`repro.verification.space`, and the fuzzing oracle.
+  :mod:`repro.verification.model`, and the fuzzing oracle.
 * :mod:`repro.conformance.fuzzer` — a deterministic, seed-driven trace
   fuzzer biased toward the paper's sharing patterns plus adversarial
   interleavings the synthetic generators never emit.

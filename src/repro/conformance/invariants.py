@@ -4,9 +4,9 @@ Both machine models enforce the same structural safety properties — at
 most one writable copy, at most one dirty copy, a directory copy set
 that matches reality, the adaptive snooping protocol's ``S2``
 at-most-two-copies guarantee — but until this module existed the checks
-were written out four times: once inside each machine's ``check=True``
-path and once per machine inside the model checker
-(:mod:`repro.verification.space`).  Everything now funnels through the
+were written out once inside each machine's ``check=True`` path and
+again per engine in the model checker
+(:mod:`repro.verification.model`).  Everything now funnels through the
 two pure functions below, with thin adapters for live machines.
 
 Two call shapes are provided:

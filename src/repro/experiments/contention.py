@@ -17,7 +17,11 @@ from repro.analysis.report import format_table
 from repro.directory.policy import BASIC, CONVENTIONAL, AdaptivePolicy
 from repro.experiments import common, resultcache
 from repro.system.machine import DirectoryMachine
-from repro.timing.eventsim import EventDrivenSimulator, EventTimingParams
+from repro.timing.eventsim import (
+    BusEventSimulator,
+    EventDrivenSimulator,
+    EventTimingParams,
+)
 
 CONTENTION_APPS = ("cholesky", "mp3d", "water")
 
@@ -157,7 +161,6 @@ def run_bus(
         AdaptiveSnoopingProtocol,
         MesiProtocol,
     )
-    from repro.timing.bus_eventsim import BusEventSimulator
 
     rows = []
     for app in apps:

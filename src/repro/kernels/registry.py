@@ -4,7 +4,8 @@ Compiled tables and their lazily-grown DFAs are shared by every machine
 in the process: the first replay of a workload pays for edge expansion,
 subsequent replays (other policies' tables are separate) walk hot edges
 and hit the per-sequence result cache.  Tables only ever *accumulate*
-reusable facts — node transitions and per-sequence walk results — so
+reusable facts — node transitions and per-sequence walk results — until
+a DFA reaches :data:`NODE_LIMIT` and is replaced by an empty one, so
 sharing them across replays, threads (the stats accumulation is
 per-replay, guarded by the GIL), and result-cache workers is safe.
 
@@ -69,7 +70,8 @@ def record_fallback(engine: str, reason: str) -> None:
 
 #: Safety valve: a DFA that outgrows this stops expanding and the replay
 #: falls back to the generic loop (the machine is only mutated after a
-#: complete walk, so a mid-walk bailout is free).
+#: complete walk, so a mid-walk bailout is free).  The next lookup of a
+#: full table replaces it with an empty one over the same rows.
 NODE_LIMIT = 1 << 17
 
 #: Per-sequence walk-result caches are cleared past this many entries.
@@ -136,6 +138,15 @@ class _KernelTable:
         else:
             self.node_limit = max(4096, (NODE_LIMIT * 257) // (2 * num_procs + 1))
 
+    @property
+    def full(self) -> bool:
+        """Whether :meth:`node` refuses new nodes."""
+        return len(self.nodes) > self.node_limit
+
+    def fresh(self) -> "_KernelTable":
+        """An empty DFA over the same compiled rows."""
+        return _KernelTable(self.rows, self.num_procs, self.field_bits)
+
     def intern_delta(self, delta: tuple) -> int:
         idx = self.delta_index.get(delta)
         if idx is None:
@@ -152,7 +163,7 @@ class _KernelTable:
         """
         node = self.nodes.get(map_key)
         if node is None:
-            if len(self.nodes) > self.node_limit:
+            if self.full:
                 raise tables.KernelUnsupported("kernel DFA node limit hit")
             node = self.nodes[map_key] = (
                 [None] * (2 * self.num_procs) + [state_key]
@@ -181,6 +192,8 @@ def dir_table(policy, num_procs: int) -> _KernelTable:
     if table is None:
         rows = tables.compile_dir_rows(policy)
         table = _dir_tables.setdefault(key, _KernelTable(rows, num_procs, 2))
+    elif table.full:
+        table = _dir_tables[key] = table.fresh()
     return table
 
 
@@ -196,6 +209,8 @@ def bus_table(protocol, num_procs: int) -> _KernelTable:
                 rows, num_procs, 3 + rows.counter_threshold.bit_length()
             ),
         )
+    elif table.full:
+        table = _bus_tables[key] = table.fresh()
     return table
 
 

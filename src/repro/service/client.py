@@ -68,8 +68,50 @@ def _raise_for_status(status: int, headers: dict, payload) -> None:
     raise ServiceError(status, message)
 
 
-def _replay_body(spec: dict) -> dict:
-    return {"v": PROTOCOL_VERSION, "spec": spec}
+# Each endpoint's request as ``(method, path, body)``, shared by both
+# transports.
+
+def _healthz() -> tuple:
+    return "GET", "/healthz", None
+
+
+def _metrics() -> tuple:
+    return "GET", "/metrics", None
+
+
+def _replay(spec: dict) -> tuple:
+    return "POST", "/v1/replay", {"v": PROTOCOL_VERSION, "spec": spec}
+
+
+def _compare(policies, spec: dict) -> tuple:
+    return "POST", "/v1/compare", {"v": PROTOCOL_VERSION, "spec": spec,
+                                   "policies": list(policies)}
+
+
+def _experiment(name: str, kwargs: dict) -> tuple:
+    return "POST", "/v1/experiment", {"v": PROTOCOL_VERSION, "name": name,
+                                      **kwargs}
+
+
+def _verify(request: dict) -> tuple:
+    return "POST", "/v1/verify", {"v": PROTOCOL_VERSION, **request}
+
+
+def _retry_delay(exc: ServiceError, last: bool, retry_draining: bool,
+                 drain_backoff: float) -> float | None:
+    """Seconds to wait before retrying after ``exc``; ``None`` re-raises.
+
+    A 429 (:class:`Backpressure`) waits the server-provided
+    ``Retry-After``; a 503 (:class:`Draining`) waits ``drain_backoff``
+    only when ``retry_draining`` is set, since a server that answers 503
+    is draining and usually going away.  The last attempt's error
+    propagates either way, so retries are bounded.
+    """
+    if last:
+        return None
+    if isinstance(exc, Backpressure):
+        return exc.retry_after
+    return drain_backoff if retry_draining else None
 
 
 def parse_metrics_text(text: str) -> dict[tuple, float]:
@@ -173,70 +215,45 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
 
-    def healthz(self) -> dict:
-        status, headers, payload = self.request("GET", "/healthz")
+    def _call(self, method: str, path: str, body: dict | None):
+        status, headers, payload = self.request(method, path, body)
         _raise_for_status(status, headers, payload)
         return payload
 
+    def healthz(self) -> dict:
+        return self._call(*_healthz())
+
     def metrics_text(self) -> str:
-        status, headers, payload = self.request("GET", "/metrics")
-        _raise_for_status(status, headers, payload)
-        return payload
+        return self._call(*_metrics())
 
     def metrics(self) -> dict[tuple, float]:
         return parse_metrics_text(self.metrics_text())
 
     def replay(self, **spec) -> dict:
-        status, headers, payload = self.request(
-            "POST", "/v1/replay", _replay_body(spec)
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
+        return self._call(*_replay(spec))
 
     def compare(self, policies=(), **spec) -> dict:
-        body = {"v": PROTOCOL_VERSION, "spec": spec,
-                "policies": list(policies)}
-        status, headers, payload = self.request("POST", "/v1/compare", body)
-        _raise_for_status(status, headers, payload)
-        return payload
+        return self._call(*_compare(policies, spec))
 
     def experiment(self, name: str, **kwargs) -> dict:
-        body = {"v": PROTOCOL_VERSION, "name": name, **kwargs}
-        status, headers, payload = self.request(
-            "POST", "/v1/experiment", body
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
+        return self._call(*_experiment(name, kwargs))
 
     def verify(self, **request) -> dict:
-        body = {"v": PROTOCOL_VERSION, **request}
-        status, headers, payload = self.request("POST", "/v1/verify", body)
-        _raise_for_status(status, headers, payload)
-        return payload
+        return self._call(*_verify(request))
 
     def replay_with_retry(self, attempts: int = 5,
                           retry_draining: bool = False,
                           drain_backoff: float = 0.1, **spec) -> dict:
-        """Replay with bounded retries.
-
-        A 429 (:class:`Backpressure`) sleeps the server-provided
-        ``Retry-After`` and retries; a 503 (:class:`Draining`) retries
-        after ``drain_backoff`` only when ``retry_draining`` is set,
-        since a server that answers 503 is draining and usually going
-        away.  The last attempt's error propagates either way, so
-        retries are bounded.
-        """
+        """Replay with bounded retries on 429 (and, opted in, 503)."""
         for attempt in range(attempts):
             try:
                 return self.replay(**spec)
-            except Backpressure as exc:
-                if attempt == attempts - 1:
+            except (Backpressure, Draining) as exc:
+                delay = _retry_delay(exc, attempt == attempts - 1,
+                                     retry_draining, drain_backoff)
+                if delay is None:
                     raise
-                time.sleep(exc.retry_after)
-            except Draining:
-                if not retry_draining or attempt == attempts - 1:
-                    raise
-                time.sleep(drain_backoff)
+                time.sleep(delay)
         raise AssertionError("unreachable")
 
     def wait_ready(self, timeout: float = 30.0,
@@ -309,51 +326,32 @@ class AsyncServiceClient:
             decoded = json.loads(rest) if rest else {}
         return status, headers, decoded
 
-    async def healthz(self) -> dict:
-        status, headers, payload = await self.request("GET", "/healthz")
+    async def _call(self, method: str, path: str, body: dict | None):
+        status, headers, payload = await self.request(method, path, body)
         _raise_for_status(status, headers, payload)
         return payload
+
+    async def healthz(self) -> dict:
+        return await self._call(*_healthz())
 
     async def metrics(self) -> dict[tuple, float]:
-        status, headers, payload = await self.request("GET", "/metrics")
-        _raise_for_status(status, headers, payload)
-        return parse_metrics_text(payload)
+        return parse_metrics_text(await self._call(*_metrics()))
 
     async def replay(self, **spec) -> dict:
-        status, headers, payload = await self.request(
-            "POST", "/v1/replay", _replay_body(spec)
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
+        return await self._call(*_replay(spec))
 
     async def replay_raw(self, **spec) -> tuple[int, dict, object]:
         """Replay without raising — backpressure phases inspect 429s."""
-        return await self.request("POST", "/v1/replay", _replay_body(spec))
+        return await self.request(*_replay(spec))
 
     async def compare(self, policies=(), **spec) -> dict:
-        body = {"v": PROTOCOL_VERSION, "spec": spec,
-                "policies": list(policies)}
-        status, headers, payload = await self.request(
-            "POST", "/v1/compare", body
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
+        return await self._call(*_compare(policies, spec))
 
     async def experiment(self, name: str, **kwargs) -> dict:
-        body = {"v": PROTOCOL_VERSION, "name": name, **kwargs}
-        status, headers, payload = await self.request(
-            "POST", "/v1/experiment", body
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
+        return await self._call(*_experiment(name, kwargs))
 
     async def verify(self, **request) -> dict:
-        body = {"v": PROTOCOL_VERSION, **request}
-        status, headers, payload = await self.request(
-            "POST", "/v1/verify", body
-        )
-        _raise_for_status(status, headers, payload)
-        return payload
+        return await self._call(*_verify(request))
 
     async def replay_with_retry(self, attempts: int = 5,
                                 retry_draining: bool = False,
@@ -363,14 +361,12 @@ class AsyncServiceClient:
         for attempt in range(attempts):
             try:
                 return await self.replay(**spec)
-            except Backpressure as exc:
-                if attempt == attempts - 1:
+            except (Backpressure, Draining) as exc:
+                delay = _retry_delay(exc, attempt == attempts - 1,
+                                     retry_draining, drain_backoff)
+                if delay is None:
                     raise
-                await asyncio.sleep(exc.retry_after)
-            except Draining:
-                if not retry_draining or attempt == attempts - 1:
-                    raise
-                await asyncio.sleep(drain_backoff)
+                await asyncio.sleep(delay)
         raise AssertionError("unreachable")
 
 

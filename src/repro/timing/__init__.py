@@ -1,11 +1,9 @@
 """Execution-time modelling for the Section 4.2 experiments."""
 
-from repro.timing.bus_eventsim import (
+from repro.timing.eventsim import (
     BusEventSimulator,
     BusTimingParams,
     BusTimingResult,
-)
-from repro.timing.eventsim import (
     EventDrivenSimulator,
     EventTimingParams,
     EventTimingResult,

@@ -1,4 +1,4 @@
-"""Event-driven timing simulation with controller contention.
+"""Event-driven timing with contention: one closed system, two engines.
 
 The closed-form model of :mod:`repro.timing.sim` charges fixed latencies
 and cannot express *contention*.  Section 4.2 makes two contention
@@ -13,18 +13,25 @@ claims this simulator reproduces:
   controllers, which speeds up *other* misses.
 
 Model: each processor replays its trace slice in order with one
-outstanding reference (DASH-style blocking loads).  A miss sends a
-request over the network (fixed per-message latency) to the block's
-home, whose **memory controller serves one message at a time** with a
-fixed occupancy per message; the entire transaction's messages are
-serviced there, then the reply travels back.  Queueing delay emerges
-when several processors' transactions collide at one home node.
+outstanding reference (DASH-style blocking loads).  An access that
+leaves the cache travels a network leg to a FIFO server, is served, and
+travels a leg back; then the processor computes for a fixed allowance.
+Queueing delay emerges when transactions collide at one server.  The
+engines differ only in the server and the service charge:
 
-Coherence-state changes are delegated to the atomic
-:class:`~repro.system.machine.DirectoryMachine`, executed in simulated-
-time order — a valid interleaving of the per-processor streams — so the
-event simulator inherits the protocol correctness of the verified
-machine and only adds timing.
+* :class:`EventDrivenSimulator` — the block's home memory controller,
+  one message at a time: ``occupancy x max(1, msgs)``, a network leg
+  each way.
+* :class:`BusEventSimulator` — the one shared bus: ``bus_cycles`` per
+  transaction, no legs.  Utilization then tracks Section 4.3's bus
+  operation counts, and the per-kind busy cycles show Thakkar's
+  observation (quoted in Section 5) that read cycles dominate bus
+  traffic under the always-migrate policy.
+
+Coherence-state changes are delegated to the atomic machine, executed
+in simulated-time order — a valid interleaving of the per-processor
+streams — so the simulator inherits the protocol correctness of the
+verified machine and only adds timing.
 """
 
 from __future__ import annotations
@@ -34,12 +41,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.common.types import Access, Op
-from repro.system.machine import DirectoryMachine
 
 
 @dataclass(frozen=True, slots=True)
 class EventTimingParams:
-    """Latency parameters for the contention model (cycles)."""
+    """Latency parameters for the directory contention model (cycles)."""
 
     hit_cycles: int = 1
     network_cycles: int = 30  # each direction of a transaction
@@ -49,7 +55,7 @@ class EventTimingParams:
 
 @dataclass(slots=True)
 class EventTimingResult:
-    """Outcome of one contended run."""
+    """Outcome of one contended directory run."""
 
     per_proc_cycles: list[int]
     total_references: int = 0
@@ -84,67 +90,156 @@ class EventTimingResult:
         return self.queue_wait_cycles / busy if busy else 0.0
 
 
-class EventDrivenSimulator:
-    """Contended replay of a trace through a directory machine."""
+@dataclass(frozen=True, slots=True)
+class BusTimingParams:
+    """Latency parameters for the shared-bus model (cycles)."""
 
-    def __init__(
-        self,
-        machine: DirectoryMachine,
-        params: EventTimingParams | None = None,
-    ):
+    hit_cycles: int = 1
+    bus_cycles: int = 24  # arbitration + address + data phases
+    compute_cycles_per_ref: int = 60
+
+
+@dataclass(slots=True)
+class BusTimingResult:
+    """Outcome of one contended bus run."""
+
+    per_proc_cycles: list[int]
+    total_references: int = 0
+    bus_busy_cycles: int = 0
+    queue_wait_cycles: int = 0
+    transactions: int = 0
+    busy_by_kind: dict = field(default_factory=dict)
+
+    @property
+    def execution_time(self) -> int:
+        return max(self.per_proc_cycles, default=0)
+
+    @property
+    def utilization(self) -> float:
+        """Fraction of the run the bus was busy."""
+        if self.execution_time == 0:
+            return 0.0
+        return self.bus_busy_cycles / self.execution_time
+
+    def kind_share(self, kind: str) -> float:
+        """Share of bus busy cycles consumed by one transaction kind."""
+        if self.bus_busy_cycles == 0:
+            return 0.0
+        return self.busy_by_kind.get(kind, 0) / self.bus_busy_cycles
+
+
+class _ClosedSystem:
+    """The heap-driven loop: blocking processors, FIFO servers.
+
+    Subclasses name their ``PARAMS`` and ``RESULT`` types and supply
+    :meth:`_demand` (run one access on the machine; ``None`` when it
+    stays in the cache, else the server it needs, the service charge,
+    the network leg each way, and a note for :meth:`_charge`) and
+    :meth:`_charge` (book a served access into the result).
+    """
+
+    def __init__(self, machine, params=None):
         self.machine = machine
-        self.params = params or EventTimingParams()
+        self.params = params or self.PARAMS()
 
-    def run(self, trace: Sequence[Access]) -> EventTimingResult:
+    def run(self, trace: Sequence[Access]):
         """Simulate the trace; per-processor order is preserved."""
-        machine = self.machine
         params = self.params
-        num_procs = machine.config.num_procs
+        num_procs = self.machine.config.num_procs
         streams: list[list[Access]] = [[] for _ in range(num_procs)]
         for acc in trace:
             streams[acc.proc].append(acc)
         cursors = [0] * num_procs
         cycles = [0] * num_procs
-        result = EventTimingResult(per_proc_cycles=cycles)
-        controller_busy = [0] * num_procs
+        result = self.RESULT(per_proc_cycles=cycles)
+        free_at: dict = {}  # server -> when it finishes its queue
         # (ready_time, proc) heap: when each processor may issue next.
         ready = [(0, proc) for proc in range(num_procs) if streams[proc]]
         heapq.heapify(ready)
-        stats = machine.stats
-        cache_stats = machine.cache_stats
 
         while ready:
             now, proc = heapq.heappop(ready)
             acc = streams[proc][cursors[proc]]
             cursors[proc] += 1
-            before_msgs = stats.short + stats.data
-            before_misses = cache_stats.misses
-            before_upgrades = cache_stats.upgrades
-            machine.access(proc, acc.op is Op.WRITE, acc.addr)
-            msg_count = stats.short + stats.data - before_msgs
-            missed = cache_stats.misses != before_misses
-            upgraded = cache_stats.upgrades != before_upgrades
-            if missed or upgraded:
-                home = machine.placement.home(
-                    acc.addr // machine.config.page_size, proc
-                )
-                arrive = now + params.network_cycles
-                start = max(arrive, controller_busy[home])
-                service = params.occupancy_cycles * max(1, msg_count)
-                controller_busy[home] = start + service
-                complete = start + service + params.network_cycles
-                latency = complete - now
-                result.miss_count += 1
-                result.queue_wait_cycles += start - arrive
-                result.service_cycles += service
-                if missed and acc.op is Op.READ:
-                    result.read_miss_count += 1
-                    result.read_miss_cycles += latency
-            else:
+            demand = self._demand(proc, acc)
+            if demand is None:
                 latency = params.hit_cycles
+            else:
+                server, service, leg, note = demand
+                arrive = now + leg
+                start = max(arrive, free_at.get(server, 0))
+                free_at[server] = start + service
+                latency = start + service + leg - now
+                result.queue_wait_cycles += start - arrive
+                self._charge(result, acc, service, latency, note)
             finish = now + latency + params.compute_cycles_per_ref
             cycles[proc] = finish
             result.total_references += 1
             if cursors[proc] < len(streams[proc]):
                 heapq.heappush(ready, (finish, proc))
         return result
+
+
+class EventDrivenSimulator(_ClosedSystem):
+    """Contended replay of a trace through a
+    :class:`~repro.system.machine.DirectoryMachine`."""
+
+    PARAMS = EventTimingParams
+    RESULT = EventTimingResult
+
+    def _demand(self, proc, acc):
+        machine = self.machine
+        stats = machine.stats
+        cache_stats = machine.cache_stats
+        before_msgs = stats.short + stats.data
+        before_misses = cache_stats.misses
+        before_upgrades = cache_stats.upgrades
+        machine.access(proc, acc.op is Op.WRITE, acc.addr)
+        missed = cache_stats.misses != before_misses
+        if not missed and cache_stats.upgrades == before_upgrades:
+            return None
+        msg_count = stats.short + stats.data - before_msgs
+        home = machine.placement.home(
+            acc.addr // machine.config.page_size, proc
+        )
+        params = self.params
+        return (home, params.occupancy_cycles * max(1, msg_count),
+                params.network_cycles, missed)
+
+    def _charge(self, result, acc, service, latency, missed) -> None:
+        result.miss_count += 1
+        result.service_cycles += service
+        if missed and acc.op is Op.READ:
+            result.read_miss_count += 1
+            result.read_miss_cycles += latency
+
+
+class BusEventSimulator(_ClosedSystem):
+    """Contended replay of a trace through a snooping
+    :class:`~repro.snooping.machine.BusMachine`."""
+
+    PARAMS = BusTimingParams
+    RESULT = BusTimingResult
+
+    def _demand(self, proc, acc):
+        stats = self.machine.bus_stats
+        before_total = stats.total
+        before_by_kind = dict(stats.by_kind)
+        self.machine.access(proc, acc.op is Op.WRITE, acc.addr)
+        transactions = stats.total - before_total
+        if not transactions:
+            return None
+        return (0, self.params.bus_cycles * transactions, 0,
+                (transactions, before_by_kind))
+
+    def _charge(self, result, acc, service, latency, note) -> None:
+        transactions, before = note
+        bus_cycles = self.params.bus_cycles
+        result.bus_busy_cycles += service
+        result.transactions += transactions
+        for kind, count in self.machine.bus_stats.by_kind.items():
+            delta = count - before.get(kind, 0)
+            if delta:
+                result.busy_by_kind[kind] = (
+                    result.busy_by_kind.get(kind, 0) + delta * bus_cycles
+                )

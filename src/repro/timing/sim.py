@@ -15,10 +15,10 @@ the interesting output is the *relative* time between protocols, which is
 what the paper reports (19.3 % / 10.4 % / 3.5 % reductions for Cholesky,
 MP3D, Water under the basic protocol).
 
-The paper also observes a 20 % drop in primary-cache read-miss latency
-caused by reduced secondary-cache contention; our model is contention-free
-(the paper itself notes contention added "almost negligible" latency), so
-that second-order effect is out of scope and documented in EXPERIMENTS.md.
+This model charges no queueing (the paper notes contention added "almost
+negligible" latency).  The paper's 20 % drop in primary-cache read-miss
+latency from reduced secondary-cache contention is reproduced by the
+contended simulator of :mod:`repro.timing.eventsim` (EXPERIMENTS.md S4.2c).
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """Exhaustive (finite-state) verification of the coherence protocols.
 
-Two layers live here:
-
-* :mod:`repro.verification.space` — the original single-block BFS
-  explorer, kept as a lightweight structural-theorem tool.
-* :mod:`repro.verification.model` / :mod:`repro.verification.checker` —
-  the bounded model checker behind ``repro-verify`` and the service
-  ``verify`` endpoint: multi-block configs, eviction actions,
-  counterexample paths, and machine-checked certificates.
+:mod:`repro.verification.model` / :mod:`repro.verification.checker` are
+the bounded model checker behind ``repro-verify`` and the service
+``verify`` endpoint: multi-block configs, eviction actions,
+counterexample paths, and machine-checked certificates.  The structural
+theorems over a single block (dead states, reachable directory states)
+are checks on a combo's reachable set.
 """
 
 from repro.verification.checker import (
@@ -15,6 +13,7 @@ from repro.verification.checker import (
     SweepResult,
     Violation,
     check_config,
+    check_model,
     counterexample_case,
     sweep,
 )
@@ -22,34 +21,29 @@ from repro.verification.model import (
     DIRECTORY_POLICIES,
     MODEL_CHECKABLE_INJECTIONS,
     SNOOP_PROTOCOLS,
+    DirectoryModel,
+    SnoopModel,
     VerificationError,
     VerifyConfig,
     build_model,
     verify_combos,
 )
-from repro.verification.space import (
-    ExplorationResult,
-    directory_states_seen,
-    explore_directory,
-    explore_snooping,
-)
 
 __all__ = [
     "ComboResult",
     "DIRECTORY_POLICIES",
-    "ExplorationResult",
+    "DirectoryModel",
     "MODEL_CHECKABLE_INJECTIONS",
     "SNOOP_PROTOCOLS",
+    "SnoopModel",
     "SweepResult",
     "VerificationError",
     "VerifyConfig",
     "Violation",
     "build_model",
     "check_config",
+    "check_model",
     "counterexample_case",
-    "directory_states_seen",
-    "explore_directory",
-    "explore_snooping",
     "sweep",
     "verify_combos",
 ]

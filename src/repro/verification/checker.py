@@ -279,7 +279,19 @@ def check_config(config: VerifyConfig, jobs: int | None = None,
             for any value.
         max_states: safety ceiling on the reachable set.
     """
-    model = build_model(config)
+    return _check(build_model(config), jobs, max_states)
+
+
+def check_model(model, max_states: int = MAX_STATES) -> ComboResult:
+    """Model-check a hand-built model (e.g. of an unregistered policy
+    variant) to closure.  Serial: worker shards rebuild their model from
+    the config through the registry, which the result's ``config`` and
+    ``table_digest`` also name."""
+    return _check(model, 1, max_states)
+
+
+def _check(model, jobs: int | None, max_states: int) -> ComboResult:
+    config = model.config
     initial = model.initial_state()
     parents = {initial: None}
     property_counts = {name: 0 for name in PROPERTIES}

@@ -1,9 +1,8 @@
 """Finite-state models of both engines for bounded model checking.
 
-:mod:`repro.verification.space` explores a single block with plain
-read/write actions and no data-value tracking.  This module generalises
-that abstraction into a *model* object the checker in
-:mod:`repro.verification.checker` can drive:
+A model wraps one concrete machine and projects its coherence state
+onto a hashable global state the checker in
+:mod:`repro.verification.checker` drives breadth-first to closure:
 
 * **multi-block configs** — 1-2 blocks, 2-3 processors.  Blocks are
   independent under infinite caches, so the product space factorises;
@@ -267,7 +266,7 @@ class _Model:
     #: the given state (evicting a non-resident block): no transition.
     SKIP = object()
 
-    def __init__(self, config: VerifyConfig):
+    def __init__(self, config: VerifyConfig, machine):
         self.config = config
         self.num_procs = config.num_procs
         self.num_blocks = config.num_blocks
@@ -279,10 +278,8 @@ class _Model:
             for block in range(config.num_blocks)
             for op in ops
         )
-        self.machine = self._build_machine()
-
-    def _build_machine(self):
-        raise NotImplementedError
+        #: The one concrete ``check=True`` machine every expansion runs.
+        self.machine = machine
 
     # -- state transfer -------------------------------------------------
 
@@ -395,17 +392,11 @@ class SnoopModel(_Model):
     that differ only in protocol-side history are distinct model states.
     """
 
-    def _build_machine(self) -> BusMachine:
-        config = self.config
-        if config.inject == "none":
-            factory = SNOOP_PROTOCOLS[config.protocol]
-        elif config.inject == "snoop-drop-invalidation":
-            factory = bugs.ForgetsToInvalidate
-        else:  # snoop-stale-fill, enforced by VerifyConfig
-            factory = bugs.FillsStaleExclusive
-        return BusMachine(
+    def __init__(self, config: VerifyConfig, factory):
+        """``factory`` builds the checked protocol (no arguments)."""
+        super().__init__(config, BusMachine(
             _machine_config(config.num_procs), factory(), check=True
-        )
+        ))
 
     def _initial(self):
         return tuple(
@@ -505,21 +496,15 @@ class DirectoryModel(_Model):
     family's machine).
     """
 
-    def _build_machine(self):
-        config = self.config
-        if config.inject == "drop-invalidation":
-            machine_cls = bugs.DropsInvalidationsDirectory
-        else:
-            machine_cls = families.family(
-                "directory", config.protocol
-            ).machine_class()
-        return machine_cls(
-            _machine_config(config.num_procs), self.policy, check=True
-        )
-
-    @property
-    def policy(self) -> AdaptivePolicy:
-        return DIRECTORY_POLICIES[self.config.protocol]
+    def __init__(self, config: VerifyConfig, policy: AdaptivePolicy,
+                 machine_cls: type):
+        """``machine_cls`` is the realization explored: families that
+        ship their own directory machine carry per-block state via
+        ``block_extra``."""
+        self.policy = policy
+        super().__init__(config, machine_cls(
+            _machine_config(config.num_procs), policy, check=True
+        ))
 
     def _initial(self):
         initial_dir = (
@@ -622,7 +607,26 @@ class DirectoryModel(_Model):
 
 
 def build_model(config: VerifyConfig) -> _Model:
-    """Instantiate the model for a verify config."""
+    """Instantiate the model for a verify config.
+
+    The protocol comes from the registry (or the injected variant);
+    building :class:`SnoopModel` / :class:`DirectoryModel` directly
+    checks any other protocol, e.g. an unregistered policy variant.
+    """
     if config.engine == "bus":
-        return SnoopModel(config)
-    return DirectoryModel(config)
+        if config.inject == "none":
+            factory = SNOOP_PROTOCOLS[config.protocol]
+        elif config.inject == "snoop-drop-invalidation":
+            factory = bugs.ForgetsToInvalidate
+        else:  # snoop-stale-fill, enforced by VerifyConfig
+            factory = bugs.FillsStaleExclusive
+        return SnoopModel(config, factory)
+    if config.inject == "drop-invalidation":
+        machine_cls = bugs.DropsInvalidationsDirectory
+    else:
+        machine_cls = families.family(
+            "directory", config.protocol
+        ).machine_class()
+    return DirectoryModel(
+        config, DIRECTORY_POLICIES[config.protocol], machine_cls
+    )

@@ -30,8 +30,7 @@ from repro.snooping.update_protocols import (
     WriteUpdateProtocol,
 )
 from repro.system.machine import DirectoryMachine
-from repro.timing.bus_eventsim import BusEventSimulator
-from repro.timing.eventsim import EventDrivenSimulator
+from repro.timing.eventsim import BusEventSimulator, EventDrivenSimulator
 from repro.trace import synth
 from repro.verification import cli as verify_cli
 

@@ -250,6 +250,25 @@ class TestReasons:
         assert registry.engagements["bus"] == 1
         assert registry.fallbacks[("bus", "not-fresh")] == 1
 
+    @pytest.mark.parametrize("engine, make, table", [
+        ("directory", lambda config: DirectoryMachine(config, BASIC),
+         lambda: registry.dir_table(BASIC, NUM_PROCS)),
+        ("bus", lambda config: BusMachine(config, MesiProtocol()),
+         lambda: registry.bus_table(MesiProtocol(), NUM_PROCS)),
+    ], ids=["directory", "bus"])
+    def test_full_table_is_replaced_at_the_next_lookup(self, engine, make,
+                                                       table):
+        # A DFA allowed one node fills on the first replay, which falls
+        # back; the next replay must start a fresh table and engage.
+        registry.clear()
+        table().node_limit = 1
+        make(_config()).run(_trace())
+        assert registry.fallbacks == {(engine, "walk-abort"): 1}
+        registry.fallbacks.clear()
+        make(_config()).run(_trace())
+        assert registry.engagements[engine] == 1
+        assert not registry.fallbacks
+
     def test_clear_resets_fallbacks(self):
         registry.record_fallback("directory", "probe")
         assert registry.fallbacks

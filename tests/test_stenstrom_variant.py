@@ -8,7 +8,8 @@ from repro.directory.policy import BASIC, STENSTROM
 from repro.directory.protocol import DirectoryProtocol
 from repro.experiments import common
 from repro.system.machine import DirectoryMachine
-from repro.verification.space import explore_directory
+from repro.verification.checker import check_config
+from repro.verification.model import VerifyConfig
 
 B = 3
 
@@ -47,7 +48,9 @@ class TestShiftRules:
         assert sten.entry(B).state is DirState.ONE_COPY
 
     def test_exhaustively_safe(self):
-        result = explore_directory(STENSTROM)
+        result = check_config(VerifyConfig(
+            "directory", STENSTROM.name, num_procs=3, evictions=False,
+        ))
         assert result.ok, result.violations
 
 

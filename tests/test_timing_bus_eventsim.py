@@ -10,7 +10,7 @@ from repro.snooping.protocols import (
     AlwaysMigrateProtocol,
     MesiProtocol,
 )
-from repro.timing.bus_eventsim import BusEventSimulator, BusTimingParams
+from repro.timing.eventsim import BusEventSimulator, BusTimingParams
 from repro.trace import synth
 from repro.trace.core import Trace
 

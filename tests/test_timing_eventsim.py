@@ -9,8 +9,12 @@ from repro.snooping.machine import BusMachine
 from repro.snooping.protocols import MesiProtocol
 from repro.system.machine import DirectoryMachine
 from repro.system.placement import BestStaticPlacement
-from repro.timing.bus_eventsim import BusEventSimulator, BusTimingParams
-from repro.timing.eventsim import EventDrivenSimulator, EventTimingParams
+from repro.timing.eventsim import (
+    BusEventSimulator,
+    BusTimingParams,
+    EventDrivenSimulator,
+    EventTimingParams,
+)
 from repro.trace import synth
 from repro.trace.core import Trace
 

@@ -1,154 +1,154 @@
 """Exhaustive state-space verification of every protocol.
 
-Each test explores the *entire* reachable global state space of a
-protocol (single block, 3 processors, every read/write interleaving) and
-asserts the safety invariants in every state, plus structural facts the
-paper states about the protocols.
+Each test model-checks the *entire* reachable global state space of a
+protocol (single block, 3 processors, every read/write interleaving,
+no evictions unless the class says otherwise) and asserts the safety
+properties in every state, plus structural facts the paper states about
+the protocols.  Registered protocols run through
+:func:`~repro.verification.checker.check_config`; the unregistered
+variants (other competitive-update thresholds, the "deep" and
+"forgetful" policies) hand their protocol to a model directly.
 """
 
 import pytest
 
-from repro.directory.policy import (
-    AGGRESSIVE,
-    BASIC,
-    CONSERVATIVE,
-    CONVENTIONAL,
-    AdaptivePolicy,
-)
-from repro.snooping.protocols import (
-    AdaptiveSnoopingProtocol,
-    AlwaysMigrateProtocol,
-    MesiProtocol,
-)
-from repro.snooping.update_protocols import (
-    CompetitiveUpdateProtocol,
-    WriteUpdateProtocol,
-)
-from repro.verification.space import (
-    directory_states_seen,
-    explore_directory,
-    explore_snooping,
-)
+from repro.directory.policy import AdaptivePolicy
+from repro.snooping.update_protocols import CompetitiveUpdateProtocol
+from repro.system.machine import DirectoryMachine
+from repro.verification.checker import check_config, check_model
+from repro.verification.model import DirectoryModel, SnoopModel, VerifyConfig
+
+
+def snooping(protocol, num_procs=3, evictions=False):
+    """Check a registered bus protocol by name, or any protocol factory."""
+    if isinstance(protocol, str):
+        return check_config(VerifyConfig(
+            "bus", protocol, num_procs=num_procs, evictions=evictions,
+        ))
+    config = VerifyConfig("bus", "mesi", num_procs=num_procs,
+                          evictions=evictions)
+    return check_model(SnoopModel(config, protocol))
+
+
+def directory(policy, num_procs=3, evictions=False):
+    """Check a registered directory policy by name, or any policy on the
+    stock directory machine."""
+    if isinstance(policy, str):
+        return check_config(VerifyConfig(
+            "directory", policy, num_procs=num_procs, evictions=evictions,
+        ))
+    config = VerifyConfig("directory", "basic", num_procs=num_procs,
+                          evictions=evictions)
+    return check_model(DirectoryModel(config, policy, DirectoryMachine))
+
+
+PAPER_POLICIES = ["conventional", "conservative", "basic", "aggressive"]
 
 
 class TestSnoopingStateSpaces:
     def test_mesi_safe_and_minimal(self):
-        result = explore_snooping(MesiProtocol)
+        result = snooping("mesi")
         assert result.ok, result.violations
-        assert result.line_states_seen() == {"E", "S", "D"}
-        assert len(result.states) == 11
+        assert set(result.line_states) == {"E", "S", "D"}
+        # 11 coherence states, 15 once each copy's freshness is tracked.
+        assert result.num_states == 15
 
     def test_adaptive_safe_uses_all_six_states(self):
-        result = explore_snooping(AdaptiveSnoopingProtocol)
+        result = snooping("adaptive")
         assert result.ok, result.violations
-        assert result.line_states_seen() == {"E", "S", "S2", "D", "MC", "MD"}
+        assert set(result.line_states) == {"E", "S", "S2", "D", "MC", "MD"}
 
     def test_initial_migratory_kills_the_exclusive_state(self):
         """Figure 1's remark, proven over the model: with
         migrate-on-read-miss as the initial policy, E has no
         in-transitions and is never reached."""
-        result = explore_snooping(
-            lambda: AdaptiveSnoopingProtocol(initial_migratory=True)
-        )
+        result = snooping("adaptive-initial-migratory")
         assert result.ok, result.violations
-        assert "E" not in result.line_states_seen()
-        assert result.line_states_seen() == {"S", "S2", "D", "MC", "MD"}
+        assert "E" not in result.line_states
+        assert set(result.line_states) == {"S", "S2", "D", "MC", "MD"}
 
     def test_always_migrate_safe(self):
-        result = explore_snooping(AlwaysMigrateProtocol)
+        result = snooping("always-migrate")
         assert result.ok, result.violations
         # S2/MD never used by the non-adaptive protocol
-        assert "S2" not in result.line_states_seen()
-        assert "MD" not in result.line_states_seen()
+        assert "S2" not in result.line_states
+        assert "MD" not in result.line_states
 
     def test_write_update_safe(self):
-        result = explore_snooping(WriteUpdateProtocol)
+        result = snooping("write-update")
         assert result.ok, result.violations
 
     @pytest.mark.parametrize("threshold", [0, 1, 2])
     def test_competitive_update_safe(self, threshold):
-        result = explore_snooping(
-            lambda: CompetitiveUpdateProtocol(threshold)
-        )
+        result = snooping(lambda: CompetitiveUpdateProtocol(threshold))
         assert result.ok, result.violations
 
     def test_transition_relation_total(self):
         """Every (state, processor, op) has exactly one successor."""
-        result = explore_snooping(AdaptiveSnoopingProtocol)
-        assert len(result.transitions) == len(result.states) * 3 * 2
+        result = snooping("adaptive")
+        assert result.num_transitions == result.num_states * 3 * 2
 
     def test_four_processors(self):
-        result = explore_snooping(AdaptiveSnoopingProtocol, num_procs=4)
+        result = snooping("adaptive", num_procs=4)
         assert result.ok, result.violations
 
 
 class TestDirectoryStateSpaces:
-    @pytest.mark.parametrize(
-        "policy", [CONVENTIONAL, CONSERVATIVE, BASIC, AGGRESSIVE],
-        ids=lambda p: p.name,
-    )
+    @pytest.mark.parametrize("policy", PAPER_POLICIES)
     def test_safe(self, policy):
-        result = explore_directory(policy)
+        result = directory(policy)
         assert result.ok, result.violations
 
     def test_conventional_never_reaches_migratory_states(self):
-        result = explore_directory(CONVENTIONAL)
-        assert "ONE_COPY_MIG" not in directory_states_seen(result)
-        assert "UNCACHED_MIG" not in directory_states_seen(result)
+        result = directory("conventional")
+        assert "ONE_COPY_MIG" not in result.dir_states
+        assert "UNCACHED_MIG" not in result.dir_states
 
     def test_adaptive_reaches_migratory_state(self):
-        for policy in (CONSERVATIVE, BASIC, AGGRESSIVE):
-            result = explore_directory(policy)
-            assert "ONE_COPY_MIG" in directory_states_seen(result), policy
+        for policy in ("conservative", "basic", "aggressive"):
+            result = directory(policy)
+            assert "ONE_COPY_MIG" in result.dir_states, policy
 
     def test_aggressive_never_returns_to_plain_uncached(self):
         """Without evictions the block never becomes uncached again, and
         the aggressive protocol starts migratory-uncached."""
-        result = explore_directory(AGGRESSIVE)
-        seen = directory_states_seen(result)
+        seen = directory("aggressive").dir_states
         assert "UNCACHED_MIG" in seen
         assert "UNCACHED" not in seen
 
     def test_hysteresis_expands_the_state_space(self):
         """Hysteresis multiplies states (the paper: "adding hysteresis
         ... would multiplicatively increase the number of states")."""
-        basic = explore_directory(BASIC)
-        conservative = explore_directory(CONSERVATIVE)
-        deep = explore_directory(
-            AdaptivePolicy("deep", migratory_threshold=3)
-        )
-        assert len(conservative.states) > len(basic.states)
-        assert len(deep.states) > len(conservative.states)
+        basic = directory("basic")
+        conservative = directory("conservative")
+        deep = directory(AdaptivePolicy("deep", migratory_threshold=3))
+        assert conservative.num_states > basic.num_states
+        assert deep.num_states > conservative.num_states
 
     def test_streak_is_bounded(self):
         """The evidence streak cannot exceed the threshold (it promotes
         or resets), keeping directory entries finite."""
-        for policy, bound in ((CONSERVATIVE, 2), (BASIC, 1)):
-            result = explore_directory(policy)
-            for state in result.states:
-                assert state[2] <= bound, (policy.name, state)
+        for policy, bound in (("conservative", 2), ("basic", 1)):
+            for (entry,) in directory(policy).reachable:
+                assert entry[2] <= bound, (policy, entry)
 
     def test_four_processors(self):
-        result = explore_directory(BASIC, num_procs=4)
+        result = directory("basic", num_procs=4)
         assert result.ok, result.violations
 
 
 class TestDirectoryWithEvictions:
     """State spaces including replacement (notification/writeback) paths."""
 
-    @pytest.mark.parametrize(
-        "policy", [CONVENTIONAL, CONSERVATIVE, BASIC, AGGRESSIVE],
-        ids=lambda p: p.name,
-    )
+    @pytest.mark.parametrize("policy", PAPER_POLICIES)
     def test_safe_with_evictions(self, policy):
-        result = explore_directory(policy, with_evictions=True)
+        result = directory(policy, evictions=True)
         assert result.ok, result.violations
 
     def test_uncached_states_reachable_with_evictions(self):
         """Evicting the last copy reaches the UNCACHED* states that the
         eviction-free exploration cannot."""
-        result = explore_directory(BASIC, with_evictions=True)
-        seen = directory_states_seen(result)
+        seen = directory("basic", evictions=True).dir_states
         assert "UNCACHED" in seen
         assert "UNCACHED_MIG" in seen  # classification remembered
 
@@ -156,14 +156,14 @@ class TestDirectoryWithEvictions:
         forgetful = AdaptivePolicy(
             "forgetful", migratory_threshold=1, remember_uncached=False
         )
-        result = explore_directory(forgetful, with_evictions=True)
+        result = directory(forgetful, evictions=True)
         assert result.ok, result.violations
-        assert "UNCACHED_MIG" not in directory_states_seen(result)
+        assert "UNCACHED_MIG" not in result.dir_states
 
     def test_eviction_expands_state_space(self):
-        plain = explore_directory(BASIC)
-        with_ev = explore_directory(BASIC, with_evictions=True)
-        assert len(with_ev.states) > len(plain.states)
+        plain = directory("basic")
+        with_ev = directory("basic", evictions=True)
+        assert with_ev.num_states > plain.num_states
 
 
 class TestSnoopingWithEvictions:
@@ -171,31 +171,25 @@ class TestSnoopingWithEvictions:
     plain-S copy exists only after its S2 partner was dropped)."""
 
     @pytest.mark.parametrize(
-        "factory",
-        [MesiProtocol, AdaptiveSnoopingProtocol, AlwaysMigrateProtocol,
-         WriteUpdateProtocol],
-        ids=["mesi", "adaptive", "always-migrate", "write-update"],
+        "name", ["mesi", "adaptive", "always-migrate", "write-update"],
     )
-    def test_safe_with_evictions(self, factory):
-        result = explore_snooping(factory, with_evictions=True)
+    def test_safe_with_evictions(self, name):
+        result = snooping(name, evictions=True)
         assert result.ok, result.violations
 
     def test_eviction_expands_adaptive_space(self):
-        plain = explore_snooping(AdaptiveSnoopingProtocol)
-        with_ev = explore_snooping(AdaptiveSnoopingProtocol,
-                                   with_evictions=True)
-        assert len(with_ev.states) > len(plain.states)
+        plain = snooping("adaptive")
+        with_ev = snooping("adaptive", evictions=True)
+        assert with_ev.num_states > plain.num_states
 
     def test_lone_plain_s_copy_reachable_only_via_eviction(self):
         def lone_s(result):
-            # Snooping globals are (per-proc lines, protocol block state).
+            # One block: its (written, per-proc lines, protocol state).
             return any(
                 sum(1 for line in lines if line is not None) == 1
                 and any(line and line[0] == "S" for line in lines)
-                for lines, _pstate in result.states
+                for ((_written, lines, _pstate),) in result.reachable
             )
 
-        assert not lone_s(explore_snooping(AdaptiveSnoopingProtocol))
-        assert lone_s(
-            explore_snooping(AdaptiveSnoopingProtocol, with_evictions=True)
-        )
+        assert not lone_s(snooping("adaptive"))
+        assert lone_s(snooping("adaptive", evictions=True))

@@ -34,14 +34,20 @@ from repro.verification.model import (
 
 ALL_COMBOS = verify_combos()
 
+#: The infinite-cache transition relation alone (no eviction actions).
+NO_EVICTION_COMBOS = verify_combos(evictions=False)
+
 INJECTIONS = sorted(set(MODEL_CHECKABLE_INJECTIONS) - {"none"})
 
 REPRODUCER_DIR = Path(__file__).parent / "reproducers"
 
 
 class TestMatrix:
-    @pytest.mark.parametrize("config", ALL_COMBOS,
-                             ids=[c.label for c in ALL_COMBOS])
+    @pytest.mark.parametrize(
+        "config", ALL_COMBOS + NO_EVICTION_COMBOS,
+        ids=[c.label for c in ALL_COMBOS]
+        + [f"{c.label}-no-evictions" for c in NO_EVICTION_COMBOS],
+    )
     def test_every_combo_verifies(self, config):
         result = check_config(config)
         assert result.ok
@@ -76,7 +82,7 @@ class TestMatrix:
         assert two.ok
 
     def test_initial_migratory_still_kills_exclusive(self):
-        # The space.py structural theorem survives the richer model.
+        # The dead-Exclusive theorem holds with evictions too.
         default = check_config(VerifyConfig("bus", "adaptive"))
         migratory = check_config(
             VerifyConfig("bus", "adaptive-initial-migratory")
@@ -169,17 +175,20 @@ class TestFaultInjection:
 
 class TestAbstractionCrossCheck:
     """Random concrete replays, projected through the checker's own
-    abstraction, stay inside the model-checked reachable set."""
+    abstraction, stay inside the model-checked reachable set: a few
+    two-block configs, then every registered family at 3 processors."""
 
     CONFIGS = [
         VerifyConfig("bus", "adaptive", num_procs=2, num_blocks=2),
         VerifyConfig("bus", "competitive-update-1"),
         VerifyConfig("directory", "aggressive"),
         VerifyConfig("directory", "conventional", num_blocks=2),
-    ]
+    ] + verify_combos(num_procs=3)
 
-    @pytest.mark.parametrize("config", CONFIGS,
-                             ids=[c.label for c in CONFIGS])
+    @pytest.mark.parametrize(
+        "config", CONFIGS,
+        ids=[f"{c.label}-{c.num_procs}x{c.num_blocks}" for c in CONFIGS],
+    )
     def test_random_replays_stay_in_reachable_set(self, config):
         reachable = check_config(config).reachable
         for trial in range(6):

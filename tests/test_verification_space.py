@@ -1,17 +1,15 @@
-"""The single-block explorer: safety matrix, structural theorems, and
-an abstraction-drift cross-check against the real machines.
+"""The single-block state space at three processors: safety matrix,
+structural theorems, and an abstraction-drift cross-check.
 
-:mod:`repro.verification.space` claims (in its docstring) that every
-shipped protocol's reachable space satisfies the copy invariants and
-that the paper's structural remarks hold as theorems over the model.
-This module turns both claims into a parametrized matrix over *every*
-snooping protocol and directory policy, then closes the loop with a
-randomized property test: replay short random traces on the concrete
-machines and assert that every intermediate global state, projected
-through the explorer's abstraction, is a member of the explored
-reachable set.  If the abstraction ever drifts from the engines (a new
-field the projection ignores, a transition the explorer's action set
-misses), the membership check fails before any invariant does.
+Every registered snooping protocol and directory family is model-checked
+over one block at three processors, with and without eviction actions,
+and the paper's structural remarks are asserted over the reachable set.
+The cross-check then replays short random traces on concrete
+``check=True`` machines and asserts that every intermediate global
+state, projected through the model's abstraction, is a member of the
+eviction-free reachable set.  If the abstraction ever drifts from the
+engines (a field the projection ignores, a transition the action set
+misses), the membership check fails before any property does.
 """
 
 import random
@@ -19,69 +17,64 @@ import random
 import pytest
 
 from repro.protocols import registry as families
-from repro.snooping.machine import BusMachine
-from repro.verification.space import (
-    _dir_extract,
-    _snoop_config,
-    _snoop_extract,
-    directory_states_seen,
-    explore_directory,
-    explore_snooping,
+from repro.verification.checker import check_config
+from repro.verification.model import (
+    BLOCK_SIZE,
+    SNOOP_PROTOCOLS,
+    VerifyConfig,
+    build_model,
 )
-
-from repro.verification.model import SNOOP_PROTOCOLS
 
 DIR_FAMILIES = list(families.directory_families())
 
 SNOOP_IDS = list(SNOOP_PROTOCOLS)
 POLICY_IDS = [fam.name for fam in DIR_FAMILIES]
 
+NUM_PROCS = 3
+
+
+def check(engine, name, evictions=False):
+    return check_config(VerifyConfig(
+        engine, name, num_procs=NUM_PROCS, evictions=evictions,
+    ))
+
 
 class TestSnoopingMatrix:
     @pytest.mark.parametrize("name", SNOOP_IDS)
     def test_closure_has_zero_violations(self, name):
-        result = explore_snooping(SNOOP_PROTOCOLS[name])
+        result = check("bus", name)
         assert result.ok, result.violations
-        assert len(result.states) > 1
+        assert result.num_states > 1
 
     @pytest.mark.parametrize("name", SNOOP_IDS)
     def test_closure_with_evictions_has_zero_violations(self, name):
-        result = explore_snooping(SNOOP_PROTOCOLS[name],
-                                  with_evictions=True)
+        result = check("bus", name, evictions=True)
         assert result.ok, result.violations
 
     def test_exclusive_reachable_under_default_protocols(self):
         # Paper S3: with migrate-on-read-miss *off*, a first read miss
         # fills Exclusive; E must appear in the reachable space.
         for name in ("mesi", "adaptive"):
-            result = explore_snooping(SNOOP_PROTOCOLS[name])
-            assert "E" in result.line_states_seen(), name
+            assert "E" in check("bus", name).line_states, name
 
     def test_exclusive_unreachable_under_initial_migratory(self):
         # Paper S3: with migrate-on-read-miss as the initial policy the
         # Exclusive state has no in-transitions — a dead state.
-        result = explore_snooping(
-            SNOOP_PROTOCOLS["adaptive-initial-migratory"]
-        )
-        assert "E" not in result.line_states_seen()
-        assert "MC" in result.line_states_seen()
+        seen = check("bus", "adaptive-initial-migratory").line_states
+        assert "E" not in seen
+        assert "MC" in seen
 
 
 class TestDirectoryMatrix:
     @pytest.mark.parametrize("family", DIR_FAMILIES, ids=POLICY_IDS)
     def test_closure_has_zero_violations(self, family):
-        result = explore_directory(
-            family.policy, machine_cls=family.machine_class()
-        )
+        result = check("directory", family.name)
         assert result.ok, result.violations
-        assert len(result.states) > 1
+        assert result.num_states > 1
 
     @pytest.mark.parametrize("family", DIR_FAMILIES, ids=POLICY_IDS)
     def test_closure_with_evictions_has_zero_violations(self, family):
-        result = explore_directory(
-            family.policy, with_evictions=True,
-            machine_cls=family.machine_class(),
-        )
+        result = check("directory", family.name, evictions=True)
         assert result.ok, result.violations
 
     def test_migratory_directory_states_need_adaptivity(self):
@@ -89,9 +82,7 @@ class TestDirectoryMatrix:
         # directory states are unreachable under them and reachable
         # under every adaptive policy.
         for family in DIR_FAMILIES:
-            seen = directory_states_seen(explore_directory(
-                family.policy, machine_cls=family.machine_class()
-            ))
+            seen = check("directory", family.name).dir_states
             if family.policy.adaptive:
                 assert "ONE_COPY_MIG" in seen, family.name
             else:
@@ -99,53 +90,34 @@ class TestDirectoryMatrix:
 
 
 class TestAbstractionCrossCheck:
-    """Random concrete replays stay inside the explored reachable set."""
+    """Random concrete replays stay inside the eviction-free reachable
+    set (infinite caches never evict)."""
 
-    NUM_PROCS = 3
     TRIALS = 8
     OPS = 40
 
-    def _random_accesses(self, rng):
-        # Same-block addresses only: the explorer models exactly one
-        # block (16-byte lines -> word addresses 0/4/8/12).
-        for _ in range(self.OPS):
-            yield (rng.randrange(self.NUM_PROCS),
-                   rng.random() < 0.5,
-                   rng.choice((0, 4, 8, 12)))
-
-    @pytest.mark.parametrize("name", SNOOP_IDS)
-    def test_snooping_replays_stay_in_reachable_set(self, name):
-        reachable = explore_snooping(
-            SNOOP_PROTOCOLS[name], num_procs=self.NUM_PROCS
-        ).states
+    def _replay(self, engine, name):
+        config = VerifyConfig(engine, name, num_procs=NUM_PROCS,
+                              evictions=False)
+        reachable = check_config(config).reachable
         for trial in range(self.TRIALS):
             rng = random.Random(f"space-cross:{name}:{trial}")
-            machine = BusMachine(_snoop_config(self.NUM_PROCS),
-                                 SNOOP_PROTOCOLS[name]())
-            for proc, is_write, addr in self._random_accesses(rng):
-                machine.access(proc, is_write, addr)
-                state = _snoop_extract(machine)
+            model = build_model(config)  # fresh cold-start machine
+            for _ in range(self.OPS):
+                # Any word of the one block.
+                model.machine.access(rng.randrange(NUM_PROCS),
+                                     rng.random() < 0.5,
+                                     rng.randrange(0, BLOCK_SIZE, 4))
+                state = model.extract()
                 assert state in reachable, (
                     f"{name} trial {trial}: concrete state {state} "
                     f"escaped the explored space"
                 )
 
+    @pytest.mark.parametrize("name", SNOOP_IDS)
+    def test_snooping_replays_stay_in_reachable_set(self, name):
+        self._replay("bus", name)
+
     @pytest.mark.parametrize("family", DIR_FAMILIES, ids=POLICY_IDS)
     def test_directory_replays_stay_in_reachable_set(self, family):
-        policy = family.policy
-        reachable = explore_directory(
-            policy, num_procs=self.NUM_PROCS,
-            machine_cls=family.machine_class(),
-        ).states
-        for trial in range(self.TRIALS):
-            rng = random.Random(f"space-cross:{policy.name}:{trial}")
-            machine = family.machine_class()(
-                _snoop_config(self.NUM_PROCS), policy
-            )
-            for proc, is_write, addr in self._random_accesses(rng):
-                machine.access(proc, is_write, addr)
-                state = _dir_extract(machine)
-                assert state in reachable, (
-                    f"{policy.name} trial {trial}: concrete state "
-                    f"{state} escaped the explored space"
-                )
+        self._replay("directory", family.name)
