@@ -176,14 +176,15 @@ class TestFaultInjection:
 class TestAbstractionCrossCheck:
     """Random concrete replays, projected through the checker's own
     abstraction, stay inside the model-checked reachable set: a few
-    two-block configs, then every registered family at 3 processors."""
+    configs with evictions, then every registered family at 3
+    processors x 2 blocks without (infinite caches never evict)."""
 
     CONFIGS = [
         VerifyConfig("bus", "adaptive", num_procs=2, num_blocks=2),
         VerifyConfig("bus", "competitive-update-1"),
         VerifyConfig("directory", "aggressive"),
         VerifyConfig("directory", "conventional", num_blocks=2),
-    ] + verify_combos(num_procs=3)
+    ] + verify_combos(num_procs=3, num_blocks=2, evictions=False)
 
     @pytest.mark.parametrize(
         "config", CONFIGS,
