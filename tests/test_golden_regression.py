@@ -216,3 +216,40 @@ def test_default_verify_certificate(tmp_path, capsys):
         (GOLDEN_DIR / "verify-certificate-2p1b.json").read_text()
     )
     assert certificate == golden
+
+
+#: ``repro-verify`` sweeps at 2 processors x 2 blocks with evictions,
+#: pinned by certificate (the package version aside): the registry
+#: sweep and the three injected bugs, whose certificates record the
+#: violations and their shortest paths too.
+VERIFY_2X2_GOLDENS = {
+    "registry": ("verify-certificate-2p2b.json", "none", 0),
+    "drop-invalidation": (
+        "verify-certificate-2p2b-drop-invalidation.json",
+        "drop-invalidation", 1,
+    ),
+    "snoop-drop-invalidation": (
+        "verify-certificate-2p2b-snoop-drop-invalidation.json",
+        "snoop-drop-invalidation", 1,
+    ),
+    "snoop-stale-fill": (
+        "verify-certificate-2p2b-snoop-stale-fill.json",
+        "snoop-stale-fill", 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_2X2_GOLDENS))
+def test_verify_certificate_2x2(name, tmp_path, capsys):
+    golden_name, inject, status = VERIFY_2X2_GOLDENS[name]
+    path = tmp_path / "certificate.json"
+    assert verify_cli.main([
+        "--procs", "2", "--blocks", "2", "--inject", inject,
+        "--certificate", str(path),
+        "--artifacts", str(tmp_path / "artifacts"),
+    ]) == status
+    capsys.readouterr()
+    certificate = json.loads(path.read_text())
+    certificate.pop("package_version")
+    golden = json.loads((GOLDEN_DIR / golden_name).read_text())
+    assert certificate == golden
