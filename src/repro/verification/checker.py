@@ -24,12 +24,27 @@ eviction actions convert into ordinary access traces and are written as
 oracle, the shrinker, and the regression corpus consume them with no
 new machinery.
 
+**Memoised steps.**  An action ``(proc, op, block)`` reads and writes
+entry ``block`` of the global state only, so the checker runs each
+distinct ``(action, state[block])`` step once on the ``check=True``
+machine (``install``, ``apply``, ``extract``) and remembers the new
+entry, the disabled action or the ``ProtocolError`` text on the model.
+Every later state with the same entry in that block builds its
+successor by swapping the remembered entry in.  Each real step checks
+the premise: a successor that changed any other block's entry raises
+:class:`VerificationError`.  Per-state properties are per block too and
+are memoised by ``(block, entry)``.  BFS order, parents, transition
+counts, counterexample paths and certificates are those of running
+every step for real; the memo only removes repeated work, which is
+what made multi-block configs cost the square of a single block.
+
 **Parallel exploration.**  Each BFS level's frontier is sharded into
 contiguous chunks and expanded on the persistent session pool via
 :func:`repro.parallel.parallel_map`, which returns results in
 submission order; the merged expansion order is therefore identical to
 a serial run's for *any* job count, so certificates are byte-identical
-whatever ``--jobs`` says.
+whatever ``--jobs`` says.  Each worker keeps one model per config
+across BFS levels, so its step memo stays warm.
 
 **Certificates.**  A sweep produces a JSON-serialisable certificate
 recording the config, each combo's kernel table digest (from
@@ -42,6 +57,7 @@ counterexamples.  Certificates contain no timestamps or timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.common.errors import ProtocolError
 from repro.common.types import read, write
@@ -203,36 +219,86 @@ def counterexample_case(config: VerifyConfig,
 # Exploration
 # ----------------------------------------------------------------------
 
+def _step(model, state, action):
+    """Run one action for real and keep only what it did to its block.
+
+    Installs the full ``state`` on the model's ``check=True`` machine,
+    applies ``action`` and extracts the successor.  Returns
+    ``model.SKIP`` for a disabled action,
+    ``(None, message)`` when the machine's own check raised, and
+    ``(entry, None)`` with the acting block's new entry otherwise.
+    Raises :class:`VerificationError` if the successor differs from
+    ``state`` in any other block: the memo in :func:`_expand_states`
+    rests on actions touching their own block only.
+    """
+    model.install(state)
+    try:
+        if model.apply(action) is model.SKIP:
+            return model.SKIP
+    except ProtocolError as exc:
+        # The machine's own check tripped mid-action; the machine is
+        # left partially mutated, but the next install overwrites its
+        # complete state.
+        return None, str(exc)
+    successor = model.extract()
+    block = action[2]
+    if (successor[:block] != state[:block]
+            or successor[block + 1:] != state[block + 1:]):
+        raise VerificationError(
+            f"{model.config.label}: action {action} changed another "
+            f"block's entry; blocks are not independent, so per-block "
+            f"steps cannot be memoised"
+        )
+    return successor[block], None
+
+
 def _expand_states(model, states):
     """Expand each state under every action; order is deterministic.
 
     Returns one list per state of ``(action, successor, error)`` where
     exactly one of ``successor``/``error`` is set; disabled actions
-    (evicting a non-resident block) contribute nothing.
+    (evicting a non-resident block) contribute nothing.  Steps are
+    memoised on the model by ``(action, state[block])``: a miss runs
+    :func:`_step`, a hit swaps the remembered entry into ``state``.
     """
+    memo = model.step_memo
+    skip = model.SKIP
     out = []
     for state in states:
         per_state = []
         for action in model.actions:
-            model.install(state)
-            try:
-                skipped = model.apply(action) is model.SKIP
-            except ProtocolError as exc:
-                # The machine's own check tripped mid-action; the
-                # machine is left partially mutated, but the next
-                # install overwrites its complete state.
-                per_state.append((action, None, str(exc)))
+            block = action[2]
+            key = (action, state[block])
+            step = memo.get(key)
+            if step is None:
+                step = memo[key] = _step(model, state, action)
+            if step is skip:
                 continue
-            if not skipped:
-                per_state.append((action, model.extract(), None))
+            entry, error = step
+            if error is None:
+                per_state.append((
+                    action, state[:block] + (entry,) + state[block + 1:],
+                    None,
+                ))
+            else:
+                per_state.append((action, None, error))
         out.append(per_state)
     return out
+
+
+@lru_cache(maxsize=1)
+def _worker_model(config):
+    """The worker's model for ``config``, kept across BFS levels so its
+    step memo stays warm; a sweep checks one config at a time.  Every
+    memo entry is a function of the config alone, so one that outlives
+    a check is still sound."""
+    return build_model(config)
 
 
 def _expand_chunk(task):
     """Worker body: expand one frontier shard (picklable in and out)."""
     config, states = task
-    return _expand_states(build_model(config), states)
+    return _expand_states(_worker_model(config), states)
 
 
 def _expand_frontier(model, frontier, jobs):

@@ -5,9 +5,15 @@ onto a hashable global state the checker in
 :mod:`repro.verification.checker` drives breadth-first to closure:
 
 * **multi-block configs** — 1-2 blocks, 2-3 processors.  Blocks are
-  independent under infinite caches, so the product space factorises;
-  exploring it anyway validates exactly that (the checker's structural
-  tests assert ``|states(2 blocks)| == |states(1 block)|**2``).
+  independent under infinite caches: an action on block ``b`` reads and
+  writes entry ``b`` of the global state only, so the product space
+  factorises (``|states(2 blocks)| == |states(1 block)|**2``, asserted
+  by the checker's structural tests).  The checker's exploration relies
+  on that independence: it runs each distinct ``(action, entry)`` step
+  on the machine once and memoises it.  Each of those real steps checks
+  that no other block's entry changed, and
+  ``tests/test_verification_checker.py::TestStepMemo`` compares
+  memoised expansions with real steps on sampled reachable states.
 * **eviction actions** — silent clean drop / dirty writeback on the bus,
   replacement notification through :meth:`DirectoryMachine._evict` on
   the directory machine, so finite-cache replacement paths are part of
@@ -280,6 +286,11 @@ class _Model:
         )
         #: The one concrete ``check=True`` machine every expansion runs.
         self.machine = machine
+        #: ``(action, entry) -> step`` for the acting block's entry: the
+        #: checker's memo of real steps (see ``checker._expand_states``).
+        self.step_memo: dict = {}
+        #: ``(block, entry) -> violations`` (see :meth:`state_violations`).
+        self.violation_memo: dict = {}
 
     # -- state transfer -------------------------------------------------
 
@@ -314,13 +325,8 @@ class _Model:
     def install(self, state) -> None:
         raise NotImplementedError
 
-    def extract(self, machine=None):
-        """Project a machine onto the model's canonical global state.
-
-        Defaults to the model's own machine; passing an organically
-        driven machine of the same geometry projects *its* state, which
-        is what the abstraction-drift cross-check tests use.
-        """
+    def extract(self):
+        """Project the model's machine onto its canonical global state."""
         raise NotImplementedError
 
     # -- dynamics -------------------------------------------------------
@@ -344,7 +350,21 @@ class _Model:
     # -- properties -----------------------------------------------------
 
     def state_violations(self, state) -> list[tuple[str, str]]:
-        """``(property, message)`` pairs violated by a global state."""
+        """``(property, message)`` pairs violated by a global state.
+
+        Every property is per block, so the pairs are each block's
+        violations in block order, memoised by ``(block, entry)``.
+        """
+        out = []
+        memo = self.violation_memo
+        for key in enumerate(state):
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = self._block_violations(*key)
+            out.extend(found)
+        return out
+
+    def _block_violations(self, block, entry) -> list[tuple[str, str]]:
         raise NotImplementedError
 
     def _writer_violations(self, block, lines, dirty_index,
@@ -422,8 +442,8 @@ class SnoopModel(_Model):
                 installed.version = latest if fresh else 0
             machine.protocol.set_block_state(block, pstate)
 
-    def extract(self, machine: BusMachine | None = None):
-        machine = machine or self.machine
+    def extract(self):
+        machine = self.machine
         state = []
         for block in range(self.num_blocks):
             latest = machine._latest.get(block, 0)
@@ -450,28 +470,25 @@ class SnoopModel(_Model):
             return self.SKIP
         return None
 
-    def state_violations(self, state) -> list[tuple[str, str]]:
-        out = []
-        for block, (written, lines, _pstate) in enumerate(state):
-            present = [
-                (SnoopState[line[0]], line[1])
-                for line in lines if line is not None
-            ]
-            out.extend(
-                ("copy-invariants", problem)
-                for problem in snooping_copy_violations(present, block)
-            )
-            out.extend(
-                self._writer_violations(block, lines, 1, 3)
-            )
-            if not written:
-                for proc, line in enumerate(lines):
-                    if line is not None and not line[3]:
-                        out.append((
-                            "dirty-implies-fresh",
-                            f"block {block} proc {proc} holds a stale "
-                            f"copy of a never-written block",
-                        ))
+    def _block_violations(self, block, entry) -> list[tuple[str, str]]:
+        written, lines, _pstate = entry
+        present = [
+            (SnoopState[line[0]], line[1])
+            for line in lines if line is not None
+        ]
+        out = [
+            ("copy-invariants", problem)
+            for problem in snooping_copy_violations(present, block)
+        ]
+        out.extend(self._writer_violations(block, lines, 1, 3))
+        if not written:
+            for proc, line in enumerate(lines):
+                if line is not None and not line[3]:
+                    out.append((
+                        "dirty-implies-fresh",
+                        f"block {block} proc {proc} holds a stale "
+                        f"copy of a never-written block",
+                    ))
         return out
 
     def line_states_seen(self, states) -> set[str]:
@@ -546,8 +563,8 @@ class DirectoryModel(_Model):
                 cache.lookup(block).version = latest if fresh else 0
             machine.set_block_extra(block, extra)
 
-    def extract(self, machine=None):
-        machine = machine or self.machine
+    def extract(self):
+        machine = self.machine
         state = []
         for block in range(self.num_blocks):
             ent = machine.protocol.entry(block)
@@ -576,21 +593,19 @@ class DirectoryModel(_Model):
         self.machine._evict(proc, line)  # noqa: SLF001 - model hook
         return None
 
-    def state_violations(self, state) -> list[tuple[str, str]]:
-        out = []
-        for block, entry in enumerate(state):
-            _dir, _inv, _streak, copyset, _written, lines, _extra = entry
-            per_node = {
-                node: (line[0], line[1])
-                for node, line in enumerate(lines) if line is not None
-            }
-            out.extend(
-                ("copy-invariants", problem)
-                for problem in directory_copy_violations(
-                    set(copyset), per_node, block
-                )
+    def _block_violations(self, block, entry) -> list[tuple[str, str]]:
+        _dir, _inv, _streak, copyset, _written, lines, _extra = entry
+        per_node = {
+            node: (line[0], line[1])
+            for node, line in enumerate(lines) if line is not None
+        }
+        out = [
+            ("copy-invariants", problem)
+            for problem in directory_copy_violations(
+                set(copyset), per_node, block
             )
-            out.extend(self._writer_violations(block, lines, 1, 2))
+        ]
+        out.extend(self._writer_violations(block, lines, 1, 2))
         return out
 
     def line_states_seen(self, states) -> set[str]:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.errors import ProtocolError
 from repro.conformance import bugs
 from repro.conformance.artifacts import iter_reproducers
 from repro.conformance.oracle import run_case
@@ -20,12 +21,15 @@ from repro.verification import cli as verify_cli
 from repro.verification.checker import (
     PROPERTIES,
     check_config,
+    check_model,
     counterexample_case,
     sweep,
 )
 from repro.verification.model import (
     BLOCK_SIZE,
     MODEL_CHECKABLE_INJECTIONS,
+    SNOOP_PROTOCOLS,
+    SnoopModel,
     VerificationError,
     VerifyConfig,
     build_model,
@@ -205,6 +209,66 @@ class TestAbstractionCrossCheck:
                     f"{config.label} trial {trial}: concrete state "
                     f"{state} escaped the model"
                 )
+
+
+class TestStepMemo:
+    """The checker memoises each step by ``(action, state[block])``; its
+    premise is that an action touches only its own block.  A sample of
+    reachable 2-block states, expanded through a warm memo (every step
+    a hit), must equal real steps on a fresh model, action by action;
+    the injected bugs cover memoised ``ProtocolError`` texts."""
+
+    COMBOS = verify_combos(num_blocks=2) + [
+        config for inject in INJECTIONS
+        for config in verify_combos(num_blocks=2, inject=inject)
+    ]
+
+    @staticmethod
+    def _direct(model, state):
+        out = []
+        for action in model.actions:
+            model.install(state)
+            try:
+                skipped = model.apply(action) is model.SKIP
+            except ProtocolError as exc:
+                out.append((action, None, str(exc)))
+                continue
+            if not skipped:
+                out.append((action, model.extract(), None))
+        return out
+
+    @pytest.mark.parametrize(
+        "config", COMBOS, ids=[f"{c.label}-2x2" for c in COMBOS],
+    )
+    def test_memoised_expansion_equals_real_steps(self, config):
+        states = sorted(check_config(config).reachable, key=repr)
+        sample = random.Random(f"step-memo:{config.label}").sample(
+            states, min(200, len(states))
+        )
+        memoised = build_model(config)
+        checker._expand_states(memoised, states)  # warm every step
+        misses = len(memoised.step_memo)
+        expanded = checker._expand_states(memoised, sample)
+        assert len(memoised.step_memo) == misses
+        direct = build_model(config)
+        for state, per_state in zip(sample, expanded):
+            assert per_state == self._direct(direct, state), state
+
+    def test_a_step_that_writes_another_block_is_refused(self):
+        class Leaky(SnoopModel):
+            def apply(self, action):
+                result = super().apply(action)
+                proc, op, block = action
+                if op == "write":
+                    # Also fetch the next block: a cross-block effect.
+                    other = (block + 1) % self.num_blocks
+                    self.machine.access(proc, False, other * BLOCK_SIZE)
+                return result
+
+        config = VerifyConfig("bus", "mesi", num_blocks=2)
+        model = Leaky(config, SNOOP_PROTOCOLS["mesi"])
+        with pytest.raises(VerificationError, match="another block"):
+            check_model(model)
 
 
 class TestCli:
