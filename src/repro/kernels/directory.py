@@ -7,10 +7,14 @@ invalidator).  The kernel packs that machine state into one integer,
 grows a DFA over it lazily (one sub-DFA per home node, since Table 1
 charges depend on whether the actor is home), and replays each block's
 access sequence (:meth:`PackedTrace.block_sequences`) as a tight
-walk appending one interned delta index per access.  Whole-walk results
-are cached per (home, sequence), so re-replaying a workload — the
-result-cache warm path, sweeps over policies sharing traffic patterns —
-reduces to dictionary lookups and integer adds.
+walk appending one interned delta index per access.  Blocks with the
+same (home, sequence) key share one walk: a replay counts its keys,
+walks each distinct key once, and sums every walk's delta indices,
+weighted by its key's count, in one pass at the end.  Each walk's
+index bytes and final key are cached per key (``seq_results``), so
+re-replaying a workload — the result-cache warm path, sweeps over
+cache sizes sharing traffic patterns — skips the walks and only
+re-counts their bytes.
 
 Finite geometries replay on the same tables.  A processor's cache
 holds only lines that processor filled itself (:func:`_expand` refuses
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
+from itertools import compress
 
 from repro.cache.core import InfiniteCache, SetAssociativeCache
 from repro.common.errors import ProtocolError
@@ -272,22 +277,12 @@ def _edge_meta(src_key: int, dst_key: int, sym: int, lines_mask: int):
     return (is_miss, tuple(removed))
 
 
-def _delta_counts(out: list[int]):
-    """Occurrence counts of each delta index, via C-level byte scans."""
-    distinct = set(out)
-    try:
-        buf = bytes(out)
-    except ValueError:  # more than 256 interned deltas in this table
-        return Counter(out).items()
-    return [(idx, buf.count(idx)) for idx in distinct]
-
-
-def _aggregate(table, out: list[int]):
-    """Sum a walk's delta indices into ``(totals, inv_items)``."""
+def _totals(table, walks):
+    """Sum ``(indices, multiplicity)`` walks into ``(totals, inv_items)``."""
     totals = [0] * _VEC
     inv: dict[int, int] = {}
     deltas = table.deltas
-    for idx, count in _delta_counts(out):
+    for idx, count in table.delta_counts(walks).items():
         delta = deltas[idx]
         totals = [t + count * v for t, v in zip(totals, delta)]
         if delta[_VEC]:
@@ -295,11 +290,18 @@ def _aggregate(table, out: list[int]):
     return tuple(totals), tuple(sorted(inv.items()))
 
 
+def _aggregate(table, out: list[int]):
+    """Sum one walk's delta-index list into ``(totals, inv_items)``."""
+    return _totals(table, [(table.indices(out), 1)])
+
+
 def _walk(table, home: int, root: list, syms):
-    """Replay one block's symbol sequence; return the walk summary.
+    """Replay one block's symbol sequence from ``root``.
 
     ``syms`` is any iterable of symbol ints — the byte string of
     :meth:`block_sequences` or a ``memoryview('H')`` over the wide form.
+    Returns ``(indices, final_key)``: the walk's delta indices in
+    :meth:`_KernelTable.indices` form and the block's final packed state.
     """
     node = root
     out: list[int] = []
@@ -310,8 +312,7 @@ def _walk(table, home: int, root: list, syms):
             edge = _expand(table, home, node, sym)
         append(edge[1])
         node = edge[0]
-    totals, inv = _aggregate(table, out)
-    return totals, inv, node[-1]
+    return table.indices(out), node[-1]
 
 
 def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
@@ -432,6 +433,7 @@ def _order_free_sets(table, packed, geometry, page_home, home_shift, finals):
     """
     block_shift, num_sets, ways, lru = geometry
     lines_mask = (1 << (2 * table.num_procs)) - 1
+    finals = list(finals)
     held: set[tuple[int, int]] = set()
     ordered: set[int] = set()
     for block, final_key in finals:
@@ -535,56 +537,67 @@ def try_replay(machine, packed):
     except KernelUnsupported:
         return _fallback("table-unsupported")
     home_shift = machine._home_shift
+    blocks = seqs.keys()
+    seq_list = seqs.values()
+    pages = [block >> home_shift for block in blocks]
     new_homes: dict[int, int] = {}
     if first_touch:
         # A fresh machine's first access to a page is always a miss, so
         # the page's home is the first symbol's processor.  Pages the
         # (possibly pre-seeded) placement already knows keep their homes.
-        homes_map = dict(placement._homes)
-        for block, seq in seqs.items():
-            page = block >> home_shift
-            if page not in homes_map:
+        page_homes = dict(placement._homes)
+        for page, seq in zip(pages, seq_list):
+            if page not in page_homes:
                 sym0 = (seq[0] | seq[1] << 8) if wide else seq[0]
-                new_homes[page] = homes_map[page] = sym0 >> 1
-        page_home = homes_map.__getitem__
+                new_homes[page] = page_homes[page] = sym0 >> 1
     else:
-        page_home = partial(placement.home, accessor=0)
-    conflict_blocks: set[int] = set()
-    for blocks, _stream in conflicts.values():
-        conflict_blocks.update(blocks)
+        home_of = placement.home
+        page_homes = {page: home_of(page, 0) for page in dict.fromkeys(pages)}
+    page_home = page_homes.__getitem__
+    homes = list(map(page_home, pages))
+    if conflicts:
+        conflict_blocks: set[int] = set()
+        for members, _stream in conflicts.values():
+            conflict_blocks.update(members)
+        free = [block not in conflict_blocks for block in blocks]
+        blocks = list(compress(blocks, free))
+        homes = list(compress(homes, free))
+        seq_list = list(compress(seq_list, free))
+    # Blocks sharing a (home, sequence) key share a walk: count the keys
+    # once, walk each distinct key once in first-occurrence order (so
+    # DFA growth and delta interning follow the blocks' order), and sum
+    # every walk's delta indices, weighted by its key's count, at once.
+    keys = Counter(zip(homes, seq_list))
     seq_results = table.seq_results
     root_key = table.rows.initial_state << (2 * num_procs)
-    totals = [0] * _VEC
-    inv_sizes: dict[int, int] = {}
-    finals: list[tuple[int, int]] = []
+    final_of: dict = {}
+    walks: list[tuple] = []
     groups: list[tuple] = []
     ev_totals = (0, 0, 0, 0, 0)
     try:
-        for block, seq in seqs.items():
-            if block in conflict_blocks:
-                continue
-            home = page_home(block >> home_shift)
-            seq_key = (home, seq, 1) if wide else (home, seq)
+        for key, mult in keys.items():
+            seq_key = (*key, 1) if wide else key
             result = seq_results.get(seq_key)
             if result is None:
+                home, seq = key
                 root = table.node((home, root_key), root_key)
                 syms = memoryview(seq).cast("H") if wide else seq
                 result = _walk(table, home, root, syms)
                 table.cache_seq_result(seq_key, result)
-            vec, inv, final_key = result
-            totals = [a + b for a, b in zip(totals, vec)]
-            for size, count in inv:
-                inv_sizes[size] = inv_sizes.get(size, 0) + count
-            finals.append((block, final_key))
-        for blocks, stream in conflicts.values():
-            ghomes = tuple(page_home(b >> home_shift) for b in blocks)
+            walks.append((result[0], mult))
+            final_of[key] = result[1]
+        vec, inv = _totals(table, walks)
+        totals = list(vec)
+        inv_sizes = dict(inv)
+        for members, stream in conflicts.values():
+            ghomes = tuple(page_home(b >> home_shift) for b in members)
             vec, inv, gfinals, recency, gev = _group_walk(
                 table, ghomes, stream, ways, lru)
             totals = [a + b for a, b in zip(totals, vec)]
             for size, count in inv:
                 inv_sizes[size] = inv_sizes.get(size, 0) + count
             ev_totals = tuple(a + b for a, b in zip(ev_totals, gev))
-            groups.append((blocks, gfinals, recency))
+            groups.append((members, gfinals, recency))
     except (KernelUnsupported, KeyError):
         # DFA capacity, or a combination outside the probed rows: the
         # machine is untouched (mutation happens only below), so the
@@ -600,6 +613,8 @@ def try_replay(machine, packed):
         order = partial(_order_free_sets, table, packed,
                         (machine._block_shift, config.cache.num_sets, ways,
                          lru), page_home, home_shift)
+    # The (block, final_key) pairs are built only when the decode runs.
+    finals = zip(blocks, map(final_of.__getitem__, zip(homes, seq_list)))
     pending.defer(machine, partial(_decode, finals, groups, 2 * num_procs,
                                    order=order), protocol)
     registry.engagements["directory"] += 1

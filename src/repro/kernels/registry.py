@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import logging
 import os
+from array import array
 from collections import Counter
 from contextlib import contextmanager
+from itertools import chain
 
 from repro.kernels import tables
 
@@ -108,7 +110,8 @@ class _KernelTable:
     symbol ``proc * 2 + is_write``) with the node's packed machine-state
     key in the final slot; edges are ``(next_node, delta_index)`` pairs.
     ``deltas`` interns the per-edge statistics tuples so a walk records
-    one small integer per access and aggregates at C speed afterwards.
+    one small integer per access (:meth:`indices`) and aggregates at C
+    speed afterwards (:meth:`delta_counts`).
     """
 
     __slots__ = ("rows", "num_procs", "field_bits", "nodes", "deltas",
@@ -125,6 +128,10 @@ class _KernelTable:
         self.nodes: dict = {}
         self.deltas: list = []
         self.delta_index: dict = {}
+        #: Per-block walk results ``(indices, final_key)`` — the walk's
+        #: delta indices (:meth:`indices`) and the block's final packed
+        #: state — keyed on the symbol sequence (with the home node on
+        #: the directory), so each distinct key is walked once.
         self.seq_results: dict = {}
         #: Conflict-set group-walk results, keyed on the set's geometry +
         #: interleaved stream (see the eviction-aware walks in
@@ -153,6 +160,39 @@ class _KernelTable:
             idx = self.delta_index[delta] = len(self.deltas)
             self.deltas.append(delta)
         return idx
+
+    def indices(self, out: list[int]):
+        """A walk's delta indices, compactly: a byte string while the
+        table has interned at most 256 deltas, else an ``array('H')``
+        (``'I'`` past 65,536)."""
+        interned = len(self.deltas)
+        if interned <= 256:
+            return bytes(out)
+        return array("H" if interned <= 1 << 16 else "I", out)
+
+    @staticmethod
+    def delta_counts(walks) -> dict[int, int]:
+        """Occurrences of each delta index over ``(indices, multiplicity)``
+        pairs, each walk counted ``multiplicity`` times.
+
+        The byte-string walks of one multiplicity are joined and counted
+        with C-level byte scans; wider index arrays go through
+        :class:`Counter`.
+        """
+        by_kind: dict[tuple[int, bool], list] = {}
+        for indices, mult in walks:
+            by_kind.setdefault((mult, type(indices) is bytes), []).append(
+                indices)
+        counts: dict[int, int] = {}
+        for (mult, narrow), columns in by_kind.items():
+            if narrow:
+                buf = b"".join(columns)
+                found = [(idx, buf.count(idx)) for idx in set(buf)]
+            else:
+                found = Counter(chain.from_iterable(columns)).items()
+            for idx, n in found:
+                counts[idx] = counts.get(idx, 0) + mult * n
+        return counts
 
     def node(self, map_key, state_key) -> list:
         """The node for ``map_key``, created holding ``state_key``.

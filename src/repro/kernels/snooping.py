@@ -8,7 +8,11 @@ integer — ``field_bits`` bits per processor, state index in the low
 three bits, counter above — grows a single DFA lazily (bus charges do
 not depend on a home node, so one sub-DFA covers every block), and
 replays each block's symbol sequence as a tight walk appending one
-interned delta index per access.
+interned delta index per access.  Blocks with the same sequence share
+one walk: each distinct sequence is walked once per replay, its index
+bytes and final key are cached (``seq_results``), and every walk's
+indices are summed, weighted by the sequence's block count, in one
+pass at the end.
 
 Finite geometries replay on the same tables.  Only the requester ever
 gains a line (:func:`_expand` refuses any edge that breaks this), so a
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
+from itertools import compress
 
 from repro.cache.core import InfiniteCache, SetAssociativeCache
 from repro.common.errors import ProtocolError
@@ -225,30 +230,27 @@ def _edge_meta(src_key: int, dst_key: int, sym: int, fb: int):
     return (is_miss, tuple(removed))
 
 
-def _delta_counts(out: list[int]):
-    """Occurrence counts of each delta index, via C-level byte scans."""
-    distinct = set(out)
-    try:
-        buf = bytes(out)
-    except ValueError:  # more than 256 interned deltas in this table
-        return Counter(out).items()
-    return [(idx, buf.count(idx)) for idx in distinct]
-
-
-def _aggregate(table, out: list[int]) -> tuple:
-    """Sum a walk's delta indices into a totals tuple."""
+def _totals(table, walks) -> tuple:
+    """Sum ``(indices, multiplicity)`` walks into a totals tuple."""
     totals = [0] * _VEC
     deltas = table.deltas
-    for idx, count in _delta_counts(out):
+    for idx, count in table.delta_counts(walks).items():
         totals = [t + count * v for t, v in zip(totals, deltas[idx])]
     return tuple(totals)
 
 
+def _aggregate(table, out: list[int]) -> tuple:
+    """Sum one walk's delta-index list into a totals tuple."""
+    return _totals(table, [(table.indices(out), 1)])
+
+
 def _walk(table, root: list, syms):
-    """Replay one block's symbol sequence; return the walk summary.
+    """Replay one block's symbol sequence from ``root``.
 
     ``syms`` is any iterable of symbol ints — the byte string of
     :meth:`block_sequences` or a ``memoryview('H')`` over the wide form.
+    Returns ``(indices, final_key)``: the walk's delta indices in
+    :meth:`_KernelTable.indices` form and the block's final packed state.
     """
     node = root
     out: list[int] = []
@@ -259,7 +261,7 @@ def _walk(table, root: list, syms):
             edge = _expand(table, node, sym)
         append(edge[1])
         node = edge[0]
-    return _aggregate(table, out), node[-1]
+    return table.indices(out), node[-1]
 
 
 def _walk_bus_group(table, count: int, stream, ways: int, lru: bool):
@@ -358,6 +360,7 @@ def _order_free_sets(table, packed, geometry, finals):
     """
     block_shift, num_sets, ways, lru = geometry
     fb = table.field_bits
+    finals = list(finals)
     held: set[tuple[int, int]] = set()
     ordered: set[int] = set()
     for block, final_key in finals:
@@ -441,18 +444,27 @@ def try_replay(machine, packed):
         table = registry.bus_table(machine.protocol, num_procs)
     except (KernelUnsupported, ProtocolError):
         return _fallback("table-unsupported")
-    conflict_blocks: set[int] = set()
-    for blocks, _stream in conflicts.values():
-        conflict_blocks.update(blocks)
+    blocks = seqs.keys()
+    seq_list = seqs.values()
+    if conflicts:
+        conflict_blocks: set[int] = set()
+        for members, _stream in conflicts.values():
+            conflict_blocks.update(members)
+        free = [block not in conflict_blocks for block in blocks]
+        blocks = list(compress(blocks, free))
+        seq_list = list(compress(seq_list, free))
+    # Blocks sharing a sequence share a walk: count the sequences once,
+    # walk each distinct one once in first-occurrence order (so DFA
+    # growth and delta interning follow the blocks' order), and sum
+    # every walk's delta indices, weighted by its count, at once.
+    keys = Counter(seq_list)
     seq_results = table.seq_results
-    totals = [0] * _VEC
-    finals: list[tuple[int, int]] = []
+    final_of: dict = {}
+    walks: list[tuple] = []
     groups: list[tuple] = []
     ev_totals = (0, 0, 0)
     try:
-        for block, seq in seqs.items():
-            if block in conflict_blocks:
-                continue
+        for seq, mult in keys.items():
             seq_key = (seq, 1) if wide else seq
             result = seq_results.get(seq_key)
             if result is None:
@@ -460,15 +472,15 @@ def try_replay(machine, packed):
                 syms = memoryview(seq).cast("H") if wide else seq
                 result = _walk(table, root, syms)
                 table.cache_seq_result(seq_key, result)
-            vec, final_key = result
-            totals = [a + b for a, b in zip(totals, vec)]
-            finals.append((block, final_key))
-        for blocks, stream in conflicts.values():
+            walks.append((result[0], mult))
+            final_of[seq] = result[1]
+        totals = list(_totals(table, walks))
+        for members, stream in conflicts.values():
             vec, gfinals, recency, gev = _group_walk(
-                table, len(blocks), stream, ways, lru)
+                table, len(members), stream, ways, lru)
             totals = [a + b for a, b in zip(totals, vec)]
             ev_totals = tuple(a + b for a, b in zip(ev_totals, gev))
-            groups.append((blocks, gfinals, recency))
+            groups.append((members, gfinals, recency))
     except (KernelUnsupported, KeyError):
         # DFA capacity, an un-probed combination, or an uncomposable
         # multi-holder snoop: the machine is untouched (mutation happens
@@ -482,6 +494,8 @@ def try_replay(machine, packed):
         order = partial(_order_free_sets, table, packed,
                         (machine._block_shift, config.cache.num_sets, ways,
                          lru))
+    # The (block, final_key) pairs are built only when the decode runs.
+    finals = zip(blocks, map(final_of.__getitem__, seq_list))
     pending.defer(machine, partial(_decode, finals, groups, table.field_bits,
                                    order=order))
     registry.engagements["bus"] += 1

@@ -36,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Magic prefix identifying the binary packed-trace format (version 1).
 MAGIC = b"RPRO-PTRACE-1\n"
 
+#: Geometries whose conflict-set streams :meth:`PackedTrace.set_streams`
+#: keeps per trace.
+_STREAMS_MEMO = 4
+
 
 class PackedTrace:
     """An access trace as three parallel columns.
@@ -49,7 +53,7 @@ class PackedTrace:
 
     __slots__ = ("name", "procs", "ops", "addrs", "_blocks_shift",
                  "_blocks", "_seqs_shift", "_seqs", "_wide_shift",
-                 "_wide_seqs", "_streams_key", "_streams", "_num_procs",
+                 "_wide_seqs", "_streams", "_num_procs",
                  "_digest")
 
     def __init__(
@@ -78,9 +82,9 @@ class PackedTrace:
         # One-entry memo for the wide (uint16 symbol) split.
         self._wide_shift: int | None = None
         self._wide_seqs: dict[int, bytes] | None = None
-        # One-entry memo for the conflict-set streams (set_streams).
-        self._streams_key: tuple[int, int, int] | None = None
-        self._streams: dict[int, tuple[tuple[int, ...], array]] | None = None
+        # Bounded per-geometry memo of the conflict-set streams
+        # (set_streams), oldest geometry first.
+        self._streams: dict[tuple[int, int, int], dict] = {}
         self._num_procs: int | None = None
         self._digest: str | None = None
 
@@ -194,17 +198,20 @@ class PackedTrace:
         independent per-block walks.  The test reads each block's
         processors off the memoised symbol sequences (a pass over
         blocks, not accesses), and only the *conflict* sets it finds get
-        a stream (see :meth:`streams_of`).  Memoised for the most recent
-        geometry triple.
+        a stream (see :meth:`streams_of`).  Memoised for the four most
+        recently computed geometry triples, so a caller alternating
+        cache sizes on one trace does not recompute them.
         """
         key = (block_shift, num_sets, ways)
-        if self._streams_key != key:
-            self._streams = self.streams_of(
+        streams = self._streams.get(key)
+        if streams is None:
+            if len(self._streams) >= _STREAMS_MEMO:
+                del self._streams[next(iter(self._streams))]
+            streams = self._streams[key] = self.streams_of(
                 block_shift, num_sets,
                 self._conflict_sets(block_shift, num_sets, ways),
             )
-            self._streams_key = key
-        return self._streams
+        return streams
 
     def _symbol_sequences(self, block_shift: int) -> dict[int, bytes]:
         """The per-block symbol split in the encoding the kernels use."""

@@ -779,3 +779,150 @@ class TestOwnLinesPremise:
                             or real(key, fb, skip))
         with pytest.raises(KernelUnsupported, match="another processor"):
             snooping._expand(table, table.node(0, 0), 0)
+
+
+#: Two per-block access sequences, one starting at processor 0 and one
+#: at processor 2 (so first-touch homes their pages apart).
+SHARED_SEQUENCES = (
+    ((0, Op.READ), (0, Op.WRITE), (1, Op.READ), (1, Op.WRITE),
+     (2, Op.READ), (3, Op.READ), (3, Op.WRITE)),
+    ((2, Op.READ), (2, Op.WRITE), (0, Op.READ), (1, Op.READ)),
+)
+
+#: Geometries of the shared-sequence oracle: infinite caches, and 8-way
+#: 1 KB caches (8 sets of 16-byte blocks) in which only set 0 conflicts.
+SHARED_GEOMETRIES = {
+    "infinite": CacheConfig(size_bytes=None, block_size=16),
+    "conflict-set": CacheConfig(size_bytes=1024, block_size=16,
+                                associativity=8),
+}
+
+#: ``label -> machine factory(config, check)`` of the oracle.
+SHARED_ENGINES = {
+    "directory": lambda config, check: DirectoryMachine(
+        config, BASIC, check=check),
+    "first-touch": lambda config, check: DirectoryMachine(
+        config, BASIC, placement=FirstTouchPlacement(), check=check),
+    "bus": lambda config, check: BusMachine(
+        config, CompetitiveUpdateProtocol(2), check=check),
+}
+
+
+def _shared_sequence_trace() -> PackedTrace:
+    """56 blocks replaying one of two sequences, interleaved, plus a
+    conflict set.
+
+    Each sequence covers 28 blocks, four in each of sets 1-7 and one
+    4 KB page per slot, so no processor touches more than 8 blocks of
+    those sets.  Processors 0 and 1 also hit 12 blocks of set 0 at
+    random, which overflows processor 0's 8 ways there.
+    """
+    rng = random.Random(5)
+    per_block = []
+    for which, seq in enumerate(SHARED_SEQUENCES):
+        for i in range(28):
+            slot = 4 * which + i // 7  # also the block's page
+            per_block.append((1 + i % 7 + 8 * slot + 256 * slot, seq))
+    conflict_blocks = [8 * k + 256 * 8 for k in range(12)]
+    accesses = []
+    for step in range(max(map(len, SHARED_SEQUENCES))):
+        for block, seq in per_block:
+            if step < len(seq):
+                proc, op = seq[step]
+                accesses.append(Access(proc, op, 16 * block))
+        for _ in range(10):
+            op = Op.WRITE if rng.random() < 0.3 else Op.READ
+            accesses.append(Access(rng.randrange(2), op,
+                                   16 * rng.choice(conflict_blocks)))
+    return PackedTrace.from_accesses(accesses)
+
+
+class TestSharedSequences:
+    """Blocks sharing one access sequence share one walk per replay, and
+    the replay still matches the checked generic loop: counters at
+    once, then the decoded state once the walk memo is gone."""
+
+    @pytest.mark.parametrize("geometry", SHARED_GEOMETRIES)
+    @pytest.mark.parametrize("engine", SHARED_ENGINES)
+    def test_matches_the_checked_generic_loop(self, engine, geometry,
+                                              monkeypatch):
+        from repro.kernels import directory, snooping
+
+        kernel_module = snooping if engine == "bus" else directory
+        walked = []
+        real_walk = kernel_module._walk
+
+        def recording_walk(table, *args):
+            *home, _root, syms = args
+            walked.append((id(table), *home, bytes(syms)))
+            return real_walk(table, *args)
+
+        monkeypatch.setattr(kernel_module, "_walk", recording_walk)
+        make = SHARED_ENGINES[engine]
+        config = MachineConfig(num_procs=4, cache=SHARED_GEOMETRIES[geometry])
+        trace = _shared_sequence_trace()
+        registry.clear()
+        kernel = make(config, False)
+        kernel.run(trace)
+        assert sum(registry.engagements.values()) == 1
+        # Each distinct key was walked once: the 56 blocks replaying the
+        # two shared sequences took at most one walk per sequence and
+        # home, the 12 blocks of set 0 at most one each.
+        assert len(set(walked)) == len(walked)
+        shared = {bytes(2 * proc + (op is Op.WRITE) for proc, op in seq)
+                  for seq in SHARED_SEQUENCES}
+        assert 2 <= sum(key[-1] in shared for key in walked) <= 8
+        assert len(walked) <= 8 + 12
+        generic = make(config, True)
+        generic.run(trace)
+        counters, state = (
+            (_bus_counters, _bus_state) if engine == "bus"
+            else (_dir_counters, _dir_state))
+        assert counters(kernel) == counters(generic)
+        if geometry == "conflict-set":
+            assert kernel.cache_stats.evictions_clean + \
+                kernel.cache_stats.evictions_dirty > 0
+        assert _is_pending(kernel)
+        for table in (*registry._dir_tables.values(),
+                      *registry._bus_tables.values()):
+            table.seq_results.clear()
+        assert state(kernel) == state(generic)
+        if engine == "first-touch":
+            assert kernel.placement._homes == generic.placement._homes
+
+
+def _invalidation_families_trace(num_procs: int) -> PackedTrace:
+    """Three blocks per ``k``: a write miss on ``k`` copies by a non-home
+    processor, a home upgrade over ``k`` other copies, and a home write
+    miss on ``k`` copies.  Each ``k`` interns new deltas."""
+    accesses = []
+    for k in range(1, num_procs):
+        miss, upgrade, home_miss = 3 * k, 3 * k + 1, 3 * k + 2
+        accesses += [Access(p, Op.READ, 16 * miss) for p in range(k)]
+        accesses.append(Access(k, Op.WRITE, 16 * miss))
+        accesses += [Access(p, Op.READ, 16 * upgrade) for p in range(k + 1)]
+        accesses.append(Access(0, Op.WRITE, 16 * upgrade))
+        accesses += [Access(p, Op.READ, 16 * home_miss)
+                     for p in range(1, k + 1)]
+        accesses.append(Access(0, Op.WRITE, 16 * home_miss))
+    return PackedTrace.from_accesses(accesses)
+
+
+class TestManyDeltas:
+    def test_more_than_256_deltas_stay_engaged(self):
+        # 100 processors keep the symbols in one byte, while the walks'
+        # delta indices outgrow it.
+        config = MachineConfig(num_procs=100,
+                               cache=CacheConfig(size_bytes=None,
+                                                 block_size=16))
+        trace = _invalidation_families_trace(100)
+        registry.clear()
+        kernel = DirectoryMachine(config, BASIC)
+        kernel.run(trace)
+        assert registry.engagements["directory"] == 1
+        assert not registry.fallbacks
+        (table,) = registry._dir_tables.values()
+        assert len(table.deltas) > 256
+        generic = DirectoryMachine(config, BASIC, check=True)
+        generic.run(trace)
+        assert _dir_state(kernel) == _dir_state(generic)

@@ -123,6 +123,30 @@ class TestSetStreams:
         assert list(streams) == [1]
         assert streams[1][0] == (1, 3, 5)
 
+    def test_alternating_geometries_are_computed_once(self, monkeypatch):
+        packed = PackedTrace.from_accesses(self.ACCESSES, "t")
+        computed = []
+        real = PackedTrace._conflict_sets
+
+        def counted(self, *geometry):
+            computed.append(geometry)
+            return real(self, *geometry)
+
+        monkeypatch.setattr(PackedTrace, "_conflict_sets", counted)
+        first = packed.set_streams(4, 2, 2)
+        for _ in range(3):
+            assert packed.set_streams(4, 2, 3) == {}
+            assert packed.set_streams(4, 2, 2) is first
+        assert computed == [(4, 2, 2), (4, 2, 3)]
+        # The memo is bounded: three more geometries push out the
+        # oldest, which is then computed again.
+        for ways in (4, 5, 6):
+            packed.set_streams(4, 2, ways)
+        assert packed.set_streams(4, 2, 3) == {}
+        assert len(computed) == 5
+        assert packed.set_streams(4, 2, 2) == first
+        assert computed[-1] == (4, 2, 2)
+
 
 class TestTracePacking:
     def test_pack_is_cached_and_lazy(self):
