@@ -28,6 +28,10 @@ happened).  On both, the kernel and object-engine machines then replay
 a short tail trace on top, and the counters and the lines, compared in
 each finite cache's set and recency order, must still match: the tail's
 fills evict by the order the kernel run decoded.
+On both geometries the directory machine's timing profile
+(:meth:`TimingSimulator.profile`, read off the kernel's per-access
+outcome counts) is timed against the generic loop's and must equal it
+field for field.
 A final pass replays the same packed trace through the streaming
 backend at several chunk sizes and diffs the results, counters and
 decoded state, against the batch kernel — chunk boundaries must be
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -55,6 +60,7 @@ from repro.kernels.streaming import replay_stream  # noqa: E402
 from repro.snooping.machine import BusMachine  # noqa: E402
 from repro.snooping.protocols import AdaptiveSnoopingProtocol  # noqa: E402
 from repro.system.machine import DirectoryMachine  # noqa: E402
+from repro.timing.sim import TimingSimulator  # noqa: E402
 from repro.trace import synth  # noqa: E402
 
 #: In-process repetitions per timing (min is reported).
@@ -100,12 +106,14 @@ def _trace():
         chunk=8, seed=3)
 
 
-def _best(make, trace) -> float:
+def _best(start, trace) -> float:
+    """Best of :data:`REPS` timings of ``start()(trace)``; ``start``
+    builds a fresh replay (a machine's ``run``, a profile) each time."""
     best = float("inf")
     for _ in range(REPS):
-        machine = make()
+        replay = start()
         started = time.perf_counter()
-        machine.run(trace)
+        replay(trace)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -137,10 +145,10 @@ def _check_machine(name, make, trace, stats_of, state_of, *, label=None,
         if not evictions:
             problems.append(f"{label}: finite-cache geometry produced no "
                             "evictions — the check is vacuous")
-    kernel_seconds = _best(make, trace)
+    kernel_seconds = _best(lambda: make().run, trace)
 
     with registry.disabled():
-        generic_seconds = _best(make, trace)
+        generic_seconds = _best(lambda: make().run, trace)
 
     print(f"{label}: kernel {kernel_seconds * 1e3:.3f}ms  "
           f"generic {generic_seconds * 1e3:.3f}ms  "
@@ -169,6 +177,37 @@ def _check_machine(name, make, trace, stats_of, state_of, *, label=None,
     if not problems:
         print(f"{label}: kernel stats and decoded state match the object "
               "engine" + (", and after a tail replay" if tail else ""))
+    return problems
+
+
+def _check_profile(label, make, trace) -> list[str]:
+    """Time the kernel-built timing profile against the generic loop's
+    and diff the two field by field."""
+    problems = []
+    registry.engagements.clear()
+    kernel = TimingSimulator(make()).profile(trace)
+    if registry.engagements["directory"] != 1:
+        problems.append(f"{label}-profile: kernel did not engage "
+                        f"(engagements={dict(registry.engagements)})")
+    def start():
+        return TimingSimulator(make()).profile
+
+    kernel_seconds = _best(start, trace)
+    with registry.disabled():
+        generic = TimingSimulator(make()).profile(trace)
+        generic_seconds = _best(start, trace)
+    print(f"{label}-profile: kernel {kernel_seconds * 1e3:.3f}ms  "
+          f"generic {generic_seconds * 1e3:.3f}ms  "
+          f"({generic_seconds / kernel_seconds:.1f}x)")
+    if kernel_seconds > generic_seconds:
+        problems.append(
+            f"{label}-profile: kernel profile ({kernel_seconds * 1e3:.3f}ms)"
+            f" slower than the generic loop ({generic_seconds * 1e3:.3f}ms)")
+    problems += _diff(f"{label}-profile", "kernel", [
+        (f.name, getattr(kernel, f.name), getattr(generic, f.name))
+        for f in fields(kernel)])
+    if not problems:
+        print(f"{label}-profile: kernel profile matches the object engine")
     return problems
 
 
@@ -244,6 +283,10 @@ def main() -> int:
             trace, _directory_stats, _directory_state,
             label=f"directory{suffix}", require_evictions=evicting,
             tail=tail,
+        )
+        problems += _check_profile(
+            f"directory{suffix}", lambda: DirectoryMachine(cfg, AGGRESSIVE),
+            trace,
         )
         problems += _check_machine(
             "bus", lambda: BusMachine(cfg, AdaptiveSnoopingProtocol()),

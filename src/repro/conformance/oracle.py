@@ -30,7 +30,11 @@ each replay is audited three ways:
    (:func:`repro.kernels.streaming.replay_stream`) in segments short
    enough to split every block's accesses, audited the same way.  This
    stage also covers the update-family snooping protocols, which the
-   invariant/SC stages exclude.
+   invariant/SC stages exclude.  For the directory machines it also
+   compares :meth:`repro.timing.sim.TimingSimulator.profile` on a
+   fresh checker-free machine (the kernel's per-access outcome counts
+   when it engages) field for field with the checked generic replay's
+   profile.
 
 The first discrepancy is reported as a :class:`CaseFailure` naming the
 stage, the engine, and the detail; ``None`` means the case is clean.
@@ -41,7 +45,7 @@ pipeline proves the oracle actually fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from repro.cache.core import InfiniteCache
@@ -218,6 +222,12 @@ def _directory_pairs(a, b) -> list[tuple[str, object, object]]:
     ]
 
 
+def _profile_pairs(a, b) -> list[tuple[str, object, object]]:
+    """Field comparison triples for two timing profiles."""
+    return [(f.name, getattr(a, f.name), getattr(b, f.name))
+            for f in fields(a)]
+
+
 def _directory_state_pairs(a, b) -> list[tuple[str, object, object]]:
     """Final-state comparison triples for two directory machines."""
     return [
@@ -298,12 +308,18 @@ def _run_directory(
     machine_factory: Callable[..., DirectoryMachine],
     ref: SCReference,
 ) -> CaseFailure | None:
+    # Imported here, like the kernels below, so loading the oracle (the
+    # model checker does) does not load the timing layer.
+    from repro.timing.sim import TimingSimulator
+
     label = f"directory[{policy.name}]"
     config = case.machine_config()
     checked = machine_factory(config, policy, check=True)
     try:
         with span("conformance.replay", engine=label, stage="checked"):
-            checked.run(case.trace)
+            # A checked machine profiles on the generic loop, stepping
+            # exactly as run() does.
+            checked_profile = TimingSimulator(checked).profile(case.trace)
     except ReproError as exc:
         return CaseFailure("invariants", label, str(exc))
     mismatch = _version_mismatch(label, ref, checked)
@@ -317,6 +333,14 @@ def _run_directory(
     if diff is not None:
         return CaseFailure("kernel-diff", f"directory-kernel[{policy.name}]",
                            diff)
+    with span("conformance.replay", engine=label, stage="profile"):
+        profile = TimingSimulator(
+            machine_factory(config, policy, check=False)
+        ).profile(case.trace)
+    diff = _diff_fields(_profile_pairs(checked_profile, profile))
+    if diff is not None:
+        return CaseFailure("kernel-diff",
+                           f"directory-profile[{policy.name}]", diff)
     stream = _streamed(machine_factory(config, policy, check=False), case,
                        label)
     if stream is not None:

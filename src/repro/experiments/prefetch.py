@@ -24,7 +24,7 @@ from repro.analysis.report import format_table
 from repro.directory.policy import BASIC, CONVENTIONAL
 from repro.experiments import common, resultcache
 from repro.system.machine import DirectoryMachine
-from repro.timing.prefetch import PrefetchingTimingSimulator
+from repro.timing.prefetch import PrefetchingTimingSimulator, prefetch_cost
 from repro.timing.sim import TimingParams, cost
 
 PREFETCH_APPS = ("mp3d", "pthor", "cholesky")
@@ -74,17 +74,23 @@ def run(
                 return DirectoryMachine(config, policy, placement)
 
             # The two plain timing runs share cached profiles with the
-            # exec-time and topology experiments; the prefetch runs stay
-            # live — prefetch issue decisions depend on the params.
-            base = cost(common.timing_profile(
+            # exec-time and topology experiments.  Perfect prefetching
+            # without hints is priced from the conventional profile (same
+            # configuration, placement and policy); partial coverage and
+            # the hinted run replay live.
+            base_profile = common.timing_profile(
                 trace, CONVENTIONAL, cache_size, num_procs=num_procs
-            ), params)
+            )
+            base = cost(base_profile, params)
             adaptive = cost(common.timing_profile(
                 trace, BASIC, cache_size, num_procs=num_procs
             ), params)
-            prefetch = PrefetchingTimingSimulator(
-                machine(CONVENTIONAL), params, coverage=coverage
-            ).run(trace)
+            if coverage >= 1.0:
+                prefetch = prefetch_cost(base_profile, params)
+            else:
+                prefetch = PrefetchingTimingSimulator(
+                    machine(CONVENTIONAL), params, coverage=coverage
+                ).run(trace)
             hints = read_exclusive_hints(trace, config.block_size)
             prefetch_excl = PrefetchingTimingSimulator(
                 machine(CONVENTIONAL), params, coverage=coverage

@@ -410,14 +410,22 @@ def decode_bus_stats(payload) -> BusStats:
 
 
 def encode_timing_profile(profile) -> dict:
-    """JSON-safe payload for one :class:`~repro.timing.sim.TimingProfile`."""
+    """JSON-safe payload for one :class:`~repro.timing.sim.TimingProfile`.
+
+    Histograms are written in ascending message-count order: the kernel
+    and generic replays fill them in different orders, and a cached
+    profile's bytes must not depend on which one made it.
+    """
+    def ordered(hist) -> dict:
+        return {k: hist[k] for k in sorted(hist)}
+
     return {
         "num_procs": profile.num_procs,
         "total_references": profile.total_references,
         "refs_per_proc": list(profile.refs_per_proc),
         "hits_per_proc": list(profile.hits_per_proc),
-        "miss_msgs_per_proc": [dict(h) for h in profile.miss_msgs_per_proc],
-        "read_miss_msgs": dict(profile.read_miss_msgs),
+        "miss_msgs_per_proc": [ordered(h) for h in profile.miss_msgs_per_proc],
+        "read_miss_msgs": ordered(profile.read_miss_msgs),
     }
 
 

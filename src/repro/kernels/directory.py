@@ -36,6 +36,12 @@ first symbol's processor), and symbol sequences switch to 16-bit
 encodings past 128 processors (:meth:`PackedTrace.block_sequences_wide`)
 with chunk-skipping holder decodes, raising the processor cap to 1024.
 
+The timing layer reads per-access outcomes off the same walks: handed
+an ``outcomes`` counter, ``try_replay`` counts each distinct key's
+``(symbol, delta index)`` pairs once, weighted by its block count, and
+each conflict set's stream against its group walk's indices, with every
+replacement charged to the access whose fill caused it.
+
 ``try_replay`` returns ``None`` without touching the machine whenever
 the replay falls outside the kernel envelope (see the gate comments);
 the caller then runs the generic loop, keeping behavior identical.
@@ -49,9 +55,10 @@ could observe it (:func:`_order_free_sets`).
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from functools import partial
-from itertools import compress
+from itertools import chain, compress, repeat
 
 from repro.cache.core import InfiniteCache, SetAssociativeCache
 from repro.common.errors import ProtocolError
@@ -315,7 +322,8 @@ def _walk(table, home: int, root: list, syms):
     return table.indices(out), node[-1]
 
 
-def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
+def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool,
+                    keep: bool = False):
     """Replay one conflict set's interleaved access stream.
 
     ``stream`` entries are ``(dense_block_id << 32) | symbol``
@@ -330,11 +338,16 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
     copy disappears), and re-enters the victim's walk at the
     post-eviction node: the segment restart.
 
-    Returns ``(totals, inv_items, final_keys, recency, evictions)``
-    where ``final_keys[dense_id]`` is each block's final packed state,
-    ``recency`` is ``((proc, dense_ids...), ...)`` oldest-first per
-    processor, and ``evictions`` is ``(short, data, dirty, clean,
-    forget)``.
+    Returns ``(totals, inv_items, final_keys, recency, evictions,
+    indices, evicted)`` where ``final_keys[dense_id]`` is each block's
+    final packed state, ``recency`` is ``((proc, dense_ids...), ...)``
+    oldest-first per processor and ``evictions`` is ``(short, data,
+    dirty, clean, forget)``.  With ``keep``, ``indices`` is the walk's
+    delta indices in stream order and ``evicted`` an ``array('q')`` of
+    flattened ``(position, messages)`` pairs, each charged replacement's
+    messages against the stream position of the fill that caused it
+    (see :func:`_group_outcomes`); without it both are ``None``, so a
+    memoised result does not hold a byte per access nobody reads.
     """
     rows = table.rows
     shift2 = 2 * table.num_procs
@@ -346,6 +359,7 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
     resident: dict[int, list[int]] = {}
     out: list[int] = []
     append = out.append
+    evicted = array("q")
     ev_short = ev_data = ev_dirty = ev_clean = forget = 0
     for entry in stream:
         dense = entry >> 32
@@ -382,6 +396,8 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
                 vs, vd = _EVICT_COUNTS[(dirty, homes[victim] == proc)]
                 ev_short += vs
                 ev_data += vd
+                if vs or vd:
+                    evicted.extend((len(out) - 1, vs + vd))
                 nvkey = vkey & ~(3 << vshift)
                 if not nvkey & lines_mask:
                     # Last copy gone: the directory notes the block
@@ -398,22 +414,31 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool):
         elif lru:
             rp.remove(dense)
             rp.append(dense)
-    totals, inv = _aggregate(table, out)
+    indices = table.indices(out)
+    totals, inv = _totals(table, [(indices, 1)])
+    if not keep:
+        indices = evicted = None
     finals = tuple(node[-1] for node in nodes)
     recency = tuple(
         (proc, tuple(ids))
         for proc, ids in sorted(resident.items()) if ids
     )
     return (totals, inv, finals, recency,
-            (ev_short, ev_data, ev_dirty, ev_clean, forget))
+            (ev_short, ev_data, ev_dirty, ev_clean, forget),
+            indices, evicted)
 
 
-def _group_walk(table, homes: tuple, stream, ways: int, lru: bool):
-    """:func:`_walk_dir_group`, memoised per (geometry, homes, stream)."""
+def _group_walk(table, homes: tuple, stream, ways: int, lru: bool,
+                keep: bool = False):
+    """:func:`_walk_dir_group`, memoised per (geometry, homes, stream).
+
+    A memoised result made without ``keep`` is walked again, with it,
+    when a caller first asks for the per-access outcomes.
+    """
     group_key = (ways, lru, homes, stream.tobytes())
     result = table.group_results.get(group_key)
-    if result is None:
-        result = _walk_dir_group(table, homes, stream, ways, lru)
+    if result is None or (keep and result[5] is None):
+        result = _walk_dir_group(table, homes, stream, ways, lru, keep)
         table.cache_group_result(group_key, result)
     return result
 
@@ -449,14 +474,57 @@ def _order_free_sets(table, packed, geometry, page_home, home_shift, finals):
     streams = packed.streams_of(block_shift, num_sets, sorted(ordered))
     for blocks, stream in streams.values():
         ghomes = tuple(page_home(b >> home_shift) for b in blocks)
-        _vec, _inv, gfinals, recency, _ev = _group_walk(
-            table, ghomes, stream, ways, lru)
+        gfinals, recency = _group_walk(table, ghomes, stream, ways, lru)[2:4]
         groups.append((blocks, gfinals, recency))
     finals = [(b, k) for b, k in finals if b % num_sets not in ordered]
     return finals, groups
 
 
-def try_replay(machine, packed):
+def _free_outcomes(keys, walks, wide: bool) -> Counter:
+    """``(symbol, delta index, 0)`` counts over the free blocks' walks.
+
+    ``keys`` are the distinct ``(home, sequence)`` keys and ``walks``
+    their ``(indices, multiplicity)`` pairs, in the same order; each
+    key's pairs are counted once and weighted by its block count.
+    """
+    by_mult: dict[int, list] = {}
+    for (_home, seq), (indices, mult) in zip(keys, walks):
+        syms = memoryview(seq).cast("H") if wide else seq
+        by_mult.setdefault(mult, []).append(zip(syms, indices, repeat(0)))
+    pairs: Counter = Counter()
+    for mult, zipped in by_mult.items():
+        for key, n in Counter(chain.from_iterable(zipped)).items():
+            pairs[key] += mult * n
+    return pairs
+
+
+def _group_outcomes(pairs: Counter, stream, indices, evicted) -> None:
+    """Add one conflict set's group walk to ``(symbol, delta index,
+    eviction messages)`` counts.
+
+    A replacement's messages belong to the access whose fill caused it,
+    as in the generic loop, where they land inside that access's
+    counter diff.
+    """
+    charged = bytearray(len(stream))
+    for pos, msgs in zip(evicted[::2], evicted[1::2]):
+        charged[pos] = msgs
+    pairs.update(zip([entry & 0xFFFFFFFF for entry in stream], indices,
+                     charged))
+
+
+def _add_outcomes(table, pairs: Counter, outcomes: Counter) -> None:
+    """Fold ``(symbol, delta index, extra messages)`` counts into
+    ``(proc, is_write, missed, upgraded, messages)`` outcome counts."""
+    deltas = table.deltas
+    for (sym, idx, extra), n in pairs.items():
+        if n:
+            d = deltas[idx]
+            outcomes[(sym >> 1, bool(sym & 1), bool(d[1] or d[3]),
+                      bool(d[4]), d[5] + d[6] + extra)] += n
+
+
+def try_replay(machine, packed, outcomes: Counter | None = None):
     """Replay ``packed`` on the kernel, or return ``None`` untouched.
 
     The envelope (each gate falls back to the generic loop, which is
@@ -477,6 +545,12 @@ def try_replay(machine, packed):
     eviction totals) and any first-touch homes into the placement.  The
     final cache lines and directory entries stay pending until first
     read (see :mod:`repro.kernels.pending`).
+
+    Given an ``outcomes`` counter, an engaged replay also adds every
+    access's outcome to it, keyed ``(proc, is_write, missed, upgraded,
+    messages)``: what the timing layer prices
+    (:meth:`repro.timing.sim.TimingSimulator.profile`).  ``messages``
+    is the access's short + data messages, replacement traffic included.
     """
     if not registry.kernels_enabled():
         return _fallback("disabled")
@@ -573,6 +647,7 @@ def try_replay(machine, packed):
     final_of: dict = {}
     walks: list[tuple] = []
     groups: list[tuple] = []
+    walked: list[tuple] = []
     ev_totals = (0, 0, 0, 0, 0)
     try:
         for key, mult in keys.items():
@@ -591,18 +666,25 @@ def try_replay(machine, packed):
         inv_sizes = dict(inv)
         for members, stream in conflicts.values():
             ghomes = tuple(page_home(b >> home_shift) for b in members)
-            vec, inv, gfinals, recency, gev = _group_walk(
-                table, ghomes, stream, ways, lru)
+            vec, inv, gfinals, recency, gev, gidx, gevicted = _group_walk(
+                table, ghomes, stream, ways, lru, outcomes is not None)
             totals = [a + b for a, b in zip(totals, vec)]
             for size, count in inv:
                 inv_sizes[size] = inv_sizes.get(size, 0) + count
             ev_totals = tuple(a + b for a, b in zip(ev_totals, gev))
             groups.append((members, gfinals, recency))
+            if outcomes is not None:
+                walked.append((stream, gidx, gevicted))
     except (KernelUnsupported, KeyError):
         # DFA capacity, or a combination outside the probed rows: the
         # machine is untouched (mutation happens only below), so the
         # generic loop can still run the replay.
         return _fallback("walk-abort")
+    if outcomes is not None:
+        pairs = _free_outcomes(keys, walks, wide)
+        for group in walked:
+            _group_outcomes(pairs, *group)
+        _add_outcomes(table, pairs, outcomes)
     _apply_counters(machine, totals, inv_sizes)
     if any(ev_totals):
         _apply_evictions(machine, ev_totals)

@@ -146,20 +146,9 @@ class DirectoryMachine:
         :meth:`repro.snooping.machine.BusMachine.run`: install the hook
         *before* calling ``run``.
         """
-        pack = getattr(trace, "pack", None)
-        if pack is not None and not self._check and self.step_hook is None:
-            if type(self) is DirectoryMachine:
-                from repro.kernels.directory import try_replay
-
-                result = try_replay(self, pack())
-                if result is not None:
-                    return result
-            else:
-                from repro.kernels import registry as kernel_registry
-
-                kernel_registry.record_fallback(
-                    "directory", self.kernel_fallback_reason
-                )
+        result = self._try_kernel(trace)
+        if result is not None:
+            return result
         access = self.access
         packer = getattr(trace, "iter_packed", None)
         if packer is not None:  # columnar traces skip Access boxing
@@ -169,6 +158,29 @@ class DirectoryMachine:
             for acc in trace:
                 access(acc.proc, acc.op is Op.WRITE, acc.addr)
         return self.stats
+
+    def _try_kernel(self, trace, outcomes=None) -> MessageStats | None:
+        """Replay ``trace`` on the table-driven kernel when it may.
+
+        Returns the stats of an engaged replay, or ``None`` when the
+        caller must take the generic loop: a trace with no ``pack``, a
+        checker or a step hook (none of which is a fallback), or a named
+        and counted kernel fallback.  ``outcomes`` is handed to
+        :func:`repro.kernels.directory.try_replay` (the timing layer's
+        per-access outcome counts).
+        """
+        pack = getattr(trace, "pack", None)
+        if pack is None or self._check or self.step_hook is not None:
+            return None
+        if type(self) is not DirectoryMachine:
+            from repro.kernels import registry as kernel_registry
+
+            return kernel_registry.record_fallback(
+                "directory", self.kernel_fallback_reason
+            )
+        from repro.kernels.directory import try_replay
+
+        return try_replay(self, pack(), outcomes)
 
     def run_with_hints(
         self, trace: Iterable[Access], hints: Iterable[bool]

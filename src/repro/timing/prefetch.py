@@ -13,6 +13,13 @@ still happen (prefetching tolerates latency, it does not remove
 traffic).  Combining prefetch-exclusive with the read-exclusive hints of
 :mod:`repro.analysis.oracle` removes the invalidation waits as well,
 reproducing the comparison the paper draws.
+
+Perfect coverage makes every miss cost the same issue overhead, so a
+run without hints is a pure function of the plain replay's outcomes:
+:func:`prefetch_cost` prices it from a :class:`TimingProfile`, beside
+:func:`repro.timing.sim.cost`.  Hinted runs (the hints change the
+protocol's actions) and coverage below 1 (its draws follow program
+order) replay through :class:`PrefetchingTimingSimulator`.
 """
 
 from __future__ import annotations
@@ -22,7 +29,37 @@ from typing import Iterable, Sequence
 
 from repro.common.types import Access, Op
 from repro.system.machine import DirectoryMachine
-from repro.timing.sim import TimingParams, TimingResult
+from repro.timing.sim import TimingParams, TimingProfile, TimingResult
+
+
+def prefetch_cost(
+    profile: TimingProfile,
+    params: TimingParams | None = None,
+    issue_cycles: int = 2,
+) -> TimingResult:
+    """Price a profile with every miss and upgrade prefetched.
+
+    Equals ``PrefetchingTimingSimulator(machine, params, coverage=1.0,
+    issue_cycles=issue_cycles).run(trace)`` field for field, where
+    ``profile`` is ``TimingSimulator(machine).profile(trace)`` on a
+    machine of the same configuration, policy and placement.
+    """
+    params = params or TimingParams()
+    covered = params.hit_cycles + issue_cycles
+    cycles = []
+    misses = 0
+    for refs, hits in zip(profile.refs_per_proc, profile.hits_per_proc):
+        cycles.append(hits * params.hit_cycles + (refs - hits) * covered
+                      + refs * params.compute_cycles_per_ref)
+        misses += refs - hits
+    read_misses = sum(profile.read_miss_msgs.values())
+    return TimingResult(
+        per_proc_cycles=cycles,
+        total_references=profile.total_references,
+        miss_cycles=misses * covered,
+        read_miss_count=read_misses,
+        read_miss_cycles=read_misses * covered,
+    )
 
 
 class PrefetchingTimingSimulator:

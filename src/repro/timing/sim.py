@@ -19,11 +19,19 @@ This model charges no queueing (the paper notes contention added "almost
 negligible" latency).  The paper's 20 % drop in primary-cache read-miss
 latency from reduced secondary-cache contention is reproduced by the
 contended simulator of :mod:`repro.timing.eventsim` (EXPERIMENTS.md S4.2c).
+
+A run is a profile (:meth:`TimingSimulator.profile`: each access's
+miss-or-upgrade outcome and message count, which no latency parameter
+affects) priced by :func:`cost`.  Wherever the directory kernel
+engages, the profile comes from the kernel's per-access outcome
+counts, so a timed replay costs about what a counters-only ``run()``
+costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.common.types import Access, Op
@@ -53,13 +61,14 @@ class TimingParams:
 class TimingProfile:
     """The params-independent skeleton of one timed replay.
 
-    The machine replay — the expensive part of :meth:`TimingSimulator.
-    run` — does not depend on :class:`TimingParams` at all: latencies
-    are a pure function of each access's ``(missed-or-upgraded, message
-    count)`` outcome.  A profile records exactly those outcomes, so one
-    replay prices under *any* parameter set (the topology sweep costs
-    the same replay once per topology; the replay result cache shares
-    profiles across experiments).
+    The machine replay behind :meth:`TimingSimulator.run` does not
+    depend on :class:`TimingParams` at all: latencies are a pure
+    function of each access's ``(missed-or-upgraded, message count)``
+    outcome.  A profile records exactly those outcomes, so one replay
+    prices under *any* parameter set (the topology sweep costs the same
+    replay once per topology; the replay result cache shares profiles
+    across experiments, and :func:`repro.timing.prefetch.prefetch_cost`
+    prices perfect prefetching from one).
 
     Attributes:
         num_procs: processor count of the profiled machine.
@@ -150,49 +159,64 @@ class TimingSimulator:
 
         The returned profile is independent of this simulator's
         ``params``; hand it to :func:`cost` with any parameter set.
+
+        A replay that engages the table-driven kernel reads every
+        access's outcome from the kernel's per-access outcome counts,
+        which cost a pass over each distinct block sequence, not a
+        machine step per access.  Every other replay (a plain iterable,
+        a checker or step hook, or a named and counted kernel fallback,
+        exactly as :meth:`DirectoryMachine.run` decides) steps the
+        machine and reads each access's outcome off its counters.  The
+        two count the same outcomes.
         """
         machine = self.machine
-        stats = machine.stats
-        cache_stats = machine.cache_stats
-        num_procs = machine.config.num_procs
-        refs = [0] * num_procs
-        hits = [0] * num_procs
-        miss_msgs: list = [{} for _ in range(num_procs)]
-        read_miss_msgs: dict = {}
-        total = 0
-        packer = getattr(trace, "iter_packed", None)
-        if packer is not None:  # columnar traces skip Access boxing
-            iterator = packer()
-        else:
-            iterator = (
-                (acc.proc, acc.op is Op.WRITE, acc.addr) for acc in trace
-            )
-        for proc, is_write, addr in iterator:
-            before_msgs = stats.short + stats.data
-            before_misses = cache_stats.misses
-            before_upgrades = cache_stats.upgrades
-            machine.access(proc, bool(is_write), addr)
-            missed = cache_stats.misses != before_misses
-            if missed or cache_stats.upgrades != before_upgrades:
-                msg_delta = stats.short + stats.data - before_msgs
-                hist = miss_msgs[proc]
-                hist[msg_delta] = hist.get(msg_delta, 0) + 1
-                if missed and not is_write:
-                    read_miss_msgs[msg_delta] = (
-                        read_miss_msgs.get(msg_delta, 0) + 1
-                    )
+        outcomes: Counter = Counter()
+        if machine._try_kernel(trace, outcomes) is None:
+            stats = machine.stats
+            cache_stats = machine.cache_stats
+            packer = getattr(trace, "iter_packed", None)
+            if packer is not None:  # columnar traces skip Access boxing
+                iterator = packer()
             else:
-                hits[proc] += 1
-            refs[proc] += 1
-            total += 1
-        return TimingProfile(
-            num_procs=num_procs,
-            total_references=total,
-            refs_per_proc=refs,
-            hits_per_proc=hits,
-            miss_msgs_per_proc=miss_msgs,
-            read_miss_msgs=read_miss_msgs,
-        )
+                iterator = (
+                    (acc.proc, acc.op is Op.WRITE, acc.addr) for acc in trace
+                )
+            for proc, is_write, addr in iterator:
+                before_msgs = stats.short + stats.data
+                before_misses = cache_stats.misses
+                before_upgrades = cache_stats.upgrades
+                machine.access(proc, bool(is_write), addr)
+                outcomes[(proc, bool(is_write),
+                          cache_stats.misses != before_misses,
+                          cache_stats.upgrades != before_upgrades,
+                          stats.short + stats.data - before_msgs)] += 1
+        return _profile_of(machine.config.num_procs, outcomes)
+
+
+def _profile_of(num_procs: int, outcomes: Counter) -> TimingProfile:
+    """A profile from ``(proc, is_write, missed, upgraded, messages)``
+    outcome counts, the kernel's or the generic loop's."""
+    refs = [0] * num_procs
+    hits = [0] * num_procs
+    miss_msgs: list = [{} for _ in range(num_procs)]
+    read_miss_msgs: dict = {}
+    for (proc, is_write, missed, upgraded, msgs), n in outcomes.items():
+        refs[proc] += n
+        if missed or upgraded:
+            hist = miss_msgs[proc]
+            hist[msgs] = hist.get(msgs, 0) + n
+            if missed and not is_write:
+                read_miss_msgs[msgs] = read_miss_msgs.get(msgs, 0) + n
+        else:
+            hits[proc] += n
+    return TimingProfile(
+        num_procs=num_procs,
+        total_references=sum(refs),
+        refs_per_proc=refs,
+        hits_per_proc=hits,
+        miss_msgs_per_proc=miss_msgs,
+        read_miss_msgs=read_miss_msgs,
+    )
 
 
 def percent_time_reduction(base: TimingResult, other: TimingResult) -> float:

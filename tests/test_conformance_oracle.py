@@ -77,6 +77,26 @@ class TestFaultInjection:
         assert failure.engine.startswith(prefix)
         assert "read_hits" in failure.detail
 
+    def test_off_by_one_outcome_count_caught(self, monkeypatch):
+        # One access's outcome counted twice: every machine counter and
+        # the final state stay exact, so only the profile comparison
+        # can expose it.
+        from repro.kernels import directory
+
+        add = directory._add_outcomes
+
+        def skewed(table, pairs, outcomes):
+            add(table, pairs, outcomes)
+            first = next(iter(outcomes))
+            outcomes[first] += 1
+
+        monkeypatch.setattr(directory, "_add_outcomes", skewed)
+        failure = run_case(generate_case(0, "uniform"))
+        assert failure is not None
+        assert failure.stage == "kernel-diff"
+        assert failure.engine.startswith("directory-profile[")
+        assert "refs_per_proc" in failure.detail
+
     def test_snoop_dropped_invalidation_caught(self):
         case = generate_case(0, "migratory")
         failure = run_case(

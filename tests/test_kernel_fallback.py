@@ -23,6 +23,7 @@ from repro.protocols.hybrid import HybridUpdateInvalidateProtocol
 from repro.snooping.machine import BusMachine
 from repro.snooping.protocols import MesiProtocol
 from repro.system.machine import DirectoryMachine
+from repro.timing.sim import TimingSimulator
 from repro.trace.core import Trace
 from repro.trace.packed import PackedTrace
 
@@ -274,6 +275,54 @@ class TestReasons:
         assert registry.fallbacks
         registry.clear()
         assert not registry.fallbacks
+
+
+class TestProfileFallbacks:
+    """A timing profile that takes the generic loop is a fallback named
+    and counted exactly as the same machine's ``run()`` would count it."""
+
+    @pytest.mark.parametrize("reason, make", [
+        ("family-unkerneled",
+         lambda: ClassifierDirectoryMachine(_config(), CONVENTIONAL)),
+        ("representation",
+         lambda: DirectoryMachine(_config(), BASIC,
+                                  representation=LimitedPointerDirectory(
+                                      2, True))),
+        ("machine-subclass",
+         lambda: type("Sub", (DirectoryMachine,), {})(_config(), BASIC)),
+    ], ids=["family", "dir2B", "subclass"])
+    def test_generic_profile_is_a_counted_fallback(self, reason, make):
+        profile = TimingSimulator(make()).profile(_trace())
+        assert registry.fallbacks == {("directory", reason): 1}
+        assert not registry.engagements
+        registry.fallbacks.clear()
+        make().run(_trace())
+        assert registry.fallbacks == {("directory", reason): 1}
+        assert profile == TimingSimulator(make()).profile(list(_trace()))
+
+    def test_disabled_profile_is_counted(self):
+        with registry.disabled():
+            TimingSimulator(DirectoryMachine(_config(), BASIC)).profile(
+                _trace())
+        assert registry.fallbacks == {("directory", "disabled"): 1}
+
+    @pytest.mark.parametrize("make", [
+        lambda: DirectoryMachine(_config(), BASIC, check=True),
+        lambda: DirectoryMachine(_config(), BASIC,
+                                 step_hook=lambda *args: None),
+    ], ids=["checked", "hooked"])
+    def test_checked_and_hooked_profiles_count_nothing(self, make):
+        TimingSimulator(make()).profile(_trace())
+        assert not registry.fallbacks
+        assert not registry.engagements
+
+    def test_engaged_profile_counts_one_engagement(self):
+        machine = DirectoryMachine(_config(), BASIC)
+        profile = TimingSimulator(machine).profile(_trace())
+        assert registry.engagements == {"directory": 1}
+        assert not registry.fallbacks
+        assert profile.total_references == len(_trace())
+        assert machine.cache_stats.accesses == len(_trace())
 
 
 class TestSweepEnvelope:

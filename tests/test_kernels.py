@@ -517,7 +517,8 @@ class TestOracleKernelStage:
         assert failure.engine.startswith(f"{engine}-kernel[")
         assert failure.detail.startswith("lines: generic=")
         kernel = directory if engine == "directory" else snooping
-        monkeypatch.setattr(kernel, "try_replay", lambda machine, packed: None)
+        monkeypatch.setattr(kernel, "try_replay",
+                            lambda machine, packed, outcomes=None: None)
         failure = oracle.run_case(case)
         assert failure is not None
         assert failure.stage == "kernel-diff"

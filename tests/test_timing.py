@@ -1,11 +1,17 @@
 """Unit tests for the execution-time model."""
 
+import json
+
 import pytest
 
 from repro.common.config import CacheConfig, MachineConfig
 from repro.common.types import read, write
 from repro.directory.policy import BASIC, CONVENTIONAL
+from repro.experiments.resultcache import encode_timing_profile
+from repro.interconnect.costs import eviction_counts, write_miss_counts
+from repro.kernels import registry
 from repro.system.machine import DirectoryMachine
+from repro.system.placement import FirstTouchPlacement
 from repro.timing.sim import (
     TimingParams,
     TimingResult,
@@ -93,3 +99,101 @@ class TestAdaptiveTimingAdvantage:
     def test_zero_base_time(self):
         empty = TimingResult([0], 0)
         assert percent_time_reduction(empty, empty) == 0.0
+
+
+def _generic_profile(make, trace):
+    """The profile of the generic loop (a plain list has no pack())."""
+    return TimingSimulator(make()).profile(list(trace))
+
+
+def _kernel_profile(make, trace):
+    registry.engagements.clear()
+    profile = TimingSimulator(make()).profile(trace)
+    assert registry.engagements["directory"] == 1
+    return profile
+
+
+class TestKernelProfile:
+    """Profiles read off the kernel's per-access outcome counts equal
+    the generic loop's, field for field."""
+
+    def test_eviction_charge_lands_on_the_filling_access(self):
+        # Direct-mapped, two sets: blocks 0 and 2 share set 0, so P1's
+        # second write evicts its dirty copy of block 0 (home node 0).
+        cfg = MachineConfig(num_procs=4, cache=CacheConfig(
+            size_bytes=32, block_size=16, associativity=1))
+        trace = Trace([write(1, 0), write(1, 32)])
+        assert trace.pack().set_streams(4, 2, 1)  # a conflict set
+
+        def make():
+            return DirectoryMachine(cfg, CONVENTIONAL)
+
+        kernel = _kernel_profile(make, trace)
+        assert kernel == _generic_profile(make, trace)
+        fill = sum(write_miss_counts(False, 0, 0))
+        writeback = sum(eviction_counts(True, False, True))
+        assert writeback
+        assert kernel.miss_msgs_per_proc[1] == {fill: 1, fill + writeback: 1}
+
+    def test_pthor_conflict_sets(self):
+        from repro.experiments import common
+
+        trace = common.get_trace("pthor", 16, 0, 0.1)
+        config = common.directory_config(16 * 1024, 16, 16)
+        streams = trace.pack().set_streams(
+            4, config.cache.num_sets, config.cache.associativity)
+        assert len(streams) > 50
+
+        def make():
+            placement = common.get_placement("round_robin", trace, config)
+            return DirectoryMachine(config, BASIC, placement)
+
+        assert _kernel_profile(make, trace) == _generic_profile(make, trace)
+
+    def test_first_touch_placement(self):
+        cfg = MachineConfig(num_procs=8, cache=CacheConfig(
+            size_bytes=1024, block_size=16, associativity=2))
+        trace = synth.interleave(
+            [synth.migratory(num_procs=8, num_objects=40, visits=30, seed=3),
+             synth.read_shared(num_procs=8, num_objects=40, rounds=4,
+                               base=1 << 16, seed=4)], seed=5)
+
+        def make():
+            return DirectoryMachine(cfg, BASIC, FirstTouchPlacement())
+
+        assert _kernel_profile(make, trace) == _generic_profile(make, trace)
+
+    def test_wide_symbols(self):
+        procs = 160
+        cfg = MachineConfig(num_procs=procs, cache=CacheConfig(
+            size_bytes=None, block_size=16))
+        trace = synth.interleave(
+            [synth.migratory(num_procs=procs, num_objects=6, visits=40,
+                             seed=2),
+             synth.read_shared(num_procs=procs, num_objects=4, rounds=2,
+                               base=1 << 16, seed=3)], seed=4)
+        assert trace.pack().num_procs > 128
+
+        def make():
+            return DirectoryMachine(cfg, BASIC)
+
+        assert _kernel_profile(make, trace) == _generic_profile(make, trace)
+
+    def test_encoded_bytes_do_not_depend_on_the_engine(self):
+        trace = synth.interleave(
+            [synth.migratory(num_procs=4, num_objects=6, visits=30, seed=1),
+             synth.read_shared(num_procs=4, num_objects=6, rounds=5,
+                               base=1 << 16, seed=2)], seed=3)
+
+        def make():
+            return machine(BASIC)
+
+        kernel = _kernel_profile(make, trace)
+        generic = _generic_profile(make, trace)
+        # The engines fill the histograms in different orders ...
+        assert any(list(a) != list(b) for a, b in zip(
+            [*kernel.miss_msgs_per_proc, kernel.read_miss_msgs],
+            [*generic.miss_msgs_per_proc, generic.read_miss_msgs]))
+        # ... and the cached bytes still agree.
+        assert (json.dumps(encode_timing_profile(kernel))
+                == json.dumps(encode_timing_profile(generic)))
