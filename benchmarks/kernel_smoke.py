@@ -28,6 +28,9 @@ happened).  On both, the kernel and object-engine machines then replay
 a short tail trace on top, and the counters and the lines, compared in
 each finite cache's set and recency order, must still match: the tail's
 fills evict by the order the kernel run decoded.
+On both geometries the directory machine also replays under Dir4B and
+Dir4NB limited-pointer directories (16 processors share the read-shared
+objects, so 4 pointers overflow), timed and diffed the same way.
 On both geometries the directory machine's timing profile
 (:meth:`TimingSimulator.profile`, read off the kernel's per-access
 outcome counts) is timed against the generic loop's and must equal it
@@ -54,6 +57,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.common.config import CacheConfig, MachineConfig  # noqa: E402
 from repro.conformance.oracle import _final_lines  # noqa: E402
 from repro.directory.policy import AGGRESSIVE  # noqa: E402
+from repro.directory.representation import (  # noqa: E402
+    LimitedPointerDirectory,
+)
 from repro.kernels import registry  # noqa: E402
 from repro.kernels.pending import StandIn  # noqa: E402
 from repro.kernels.streaming import replay_stream  # noqa: E402
@@ -262,7 +268,7 @@ def _bus_state(a, b):
 def _directory_state(a, b):
     def entries(machine):
         return {block: (ent.state, sorted(ent.copyset),
-                        ent.last_invalidator, ent.streak)
+                        ent.last_invalidator, ent.streak, ent.overflowed)
                 for block, ent in machine.protocol.entries.items()}
 
     return _bus_state(a, b) + [("entries", entries(a), entries(b))]
@@ -288,6 +294,16 @@ def main() -> int:
             f"directory{suffix}", lambda: DirectoryMachine(cfg, AGGRESSIVE),
             trace,
         )
+        for broadcast in (True, False):
+            name = LimitedPointerDirectory(4, broadcast).name
+            problems += _check_machine(
+                "directory", lambda: DirectoryMachine(
+                    cfg, AGGRESSIVE,
+                    representation=LimitedPointerDirectory(4, broadcast)),
+                trace, _directory_stats, _directory_state,
+                label=f"directory-{name}{suffix}",
+                require_evictions=evicting, tail=tail,
+            )
         problems += _check_machine(
             "bus", lambda: BusMachine(cfg, AdaptiveSnoopingProtocol()),
             trace, _bus_stats, _bus_state, label=f"bus{suffix}",

@@ -34,7 +34,10 @@ each replay is audited three ways:
    compares :meth:`repro.timing.sim.TimingSimulator.profile` on a
    fresh checker-free machine (the kernel's per-access outcome counts
    when it engages) field for field with the checked generic replay's
-   profile.
+   profile.  Each directory policy replays under the full map and again
+   under a Dir_iB and a Dir_iNB limited-pointer directory with few
+   enough pointers (:func:`limited_representations`) that fuzz cases
+   overflow them.
 
 The first discrepancy is reported as a :class:`CaseFailure` naming the
 stage, the engine, and the detail; ``None`` means the case is clean.
@@ -46,6 +49,7 @@ pipeline proves the oracle actually fires.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.cache.core import InfiniteCache
@@ -53,6 +57,7 @@ from repro.common.errors import ReproError
 from repro.common.types import Op
 from repro.conformance.fuzzer import FuzzCase
 from repro.directory.policy import AdaptivePolicy
+from repro.directory.representation import LimitedPointerDirectory
 from repro.kernels import registry
 from repro.protocols import registry as families
 from repro.snooping.machine import BusMachine
@@ -199,7 +204,7 @@ def _directory_entries(machine) -> dict[int, tuple]:
     """Every directory entry's observable fields, keyed by block."""
     return {
         block: (ent.state, tuple(sorted(ent.copyset)),
-                ent.last_invalidator, ent.streak)
+                ent.last_invalidator, ent.streak, ent.overflowed)
         for block, ent in machine.protocol.entries.items()
     }
 
@@ -302,17 +307,34 @@ def _version_mismatch(label: str, ref: SCReference, machine) -> str | None:
 # Per-engine differential replays
 # ----------------------------------------------------------------------
 
+def limited_representations(case: FuzzCase) -> tuple:
+    """The Dir_iB and Dir_iNB directories ``case`` also replays under,
+    with ``i = max(1, num_procs // 2)`` pointers so its sharing
+    overflows them."""
+    pointers = max(1, case.num_procs // 2)
+    return (LimitedPointerDirectory(pointers, broadcast=True),
+            LimitedPointerDirectory(pointers, broadcast=False))
+
+
 def _run_directory(
     case: FuzzCase,
     policy: AdaptivePolicy,
     machine_factory: Callable[..., DirectoryMachine],
     ref: SCReference,
+    representation: LimitedPointerDirectory | None = None,
 ) -> CaseFailure | None:
     # Imported here, like the kernels below, so loading the oracle (the
     # model checker does) does not load the timing layer.
     from repro.timing.sim import TimingSimulator
 
-    label = f"directory[{policy.name}]"
+    name = policy.name
+    if representation is not None:
+        # The representation keeps no state of its own (that lives in
+        # the directory entries), so the machines can share it.
+        name = f"{name},{representation.name}"
+        machine_factory = partial(machine_factory,
+                                  representation=representation)
+    label = f"directory[{name}]"
     config = case.machine_config()
     checked = machine_factory(config, policy, check=True)
     try:
@@ -331,16 +353,16 @@ def _run_directory(
     diff = _kernel_diff(checked, kernel, _directory_pairs,
                         _directory_state_pairs)
     if diff is not None:
-        return CaseFailure("kernel-diff", f"directory-kernel[{policy.name}]",
-                           diff)
+        return CaseFailure("kernel-diff", f"directory-kernel[{name}]", diff)
     with span("conformance.replay", engine=label, stage="profile"):
         profile = TimingSimulator(
             machine_factory(config, policy, check=False)
         ).profile(case.trace)
     diff = _diff_fields(_profile_pairs(checked_profile, profile))
     if diff is not None:
-        return CaseFailure("kernel-diff",
-                           f"directory-profile[{policy.name}]", diff)
+        return CaseFailure("kernel-diff", f"directory-profile[{name}]", diff)
+    if representation is not None:
+        return None  # the streaming kernel covers the full map only
     stream = _streamed(machine_factory(config, policy, check=False), case,
                        label)
     if stream is not None:
@@ -439,9 +461,11 @@ def run_case(
     """
     ref = _replay_reference(case)
     for policy in policies:
-        failure = _run_directory(case, policy, directory_machine, ref)
-        if failure is not None:
-            return failure
+        for representation in (None, *limited_representations(case)):
+            failure = _run_directory(case, policy, directory_machine, ref,
+                                     representation)
+            if failure is not None:
+                return failure
     if directory_machine is DirectoryMachine:
         for fam in family_machines:
             failure = _run_directory(

@@ -17,7 +17,7 @@ cache sizes sharing traffic patterns — skips the walks and only
 re-counts their bytes.
 
 Finite geometries replay on the same tables.  A processor's cache
-holds only lines that processor filled itself (:func:`_expand` refuses
+holds only lines that processor filled itself (:func:`_step` refuses
 any edge that gives another processor a line), so a set can evict only
 if some processor touches more than ``ways`` of its blocks
 (:meth:`PackedTrace.set_streams`).  Every other set keeps the
@@ -35,6 +35,18 @@ machine's first access to a page is always a miss, so the home is the
 first symbol's processor), and symbol sequences switch to 16-bit
 encodings past 128 processors (:meth:`PackedTrace.block_sequences_wide`)
 with chunk-skipping holder decodes, raising the processor cap to 1024.
+
+Limited-pointer directories (Dir_iB, Dir_iNB) replay on a table of
+their own (:func:`registry.limited_dir_table`) that interns into its
+full-map base table's deltas.  A Dir_i directory behaves exactly like
+the full map until a read miss leaves more than ``i`` sharers, so each
+key reuses its full-map walk up to the first access whose full-map
+successor overflows the pointers and walks only the rest on the
+limited table (:func:`_walk_limited`), whose edges add what the
+representation does (:func:`_expand_limited`): a Dir_iB overflow bit
+in the packed key that turns invalidations into broadcasts, or a
+Dir_iNB pointer eviction.  Keys that never overflow reuse the full-map
+walk whole; conflict sets walk wholly on the limited table.
 
 The timing layer reads per-access outcomes off the same walks: handed
 an ``outcomes`` counter, ``try_replay`` counts each distinct key's
@@ -65,7 +77,10 @@ from repro.common.errors import ProtocolError
 from repro.common.stats import CacheStats, MessageStats
 from repro.directory.entry import DirectoryEntry
 from repro.directory.protocol import DirectoryProtocol
-from repro.directory.representation import FullMapDirectory
+from repro.directory.representation import (
+    FullMapDirectory,
+    LimitedPointerDirectory,
+)
 from repro.interconnect.costs import (
     eviction_counts,
     read_miss_counts,
@@ -98,11 +113,17 @@ _PLACEMENT_TYPES = (RoundRobinPlacement, BestStaticPlacement)
 #: keys must stay practical (2 bits per processor plus directory bits).
 _MAX_PROCS = 1024
 
-# Delta vector layout (17th slot is the invalidation size, not additive):
+# Delta vector layout (18th slot is the invalidation size, not additive):
 # 0 read_hits  1 read_misses  2 write_hits  3 write_misses  4 upgrades
 # 5 short  6 data  7/8 read_miss short/data  9/10 write_miss short/data
 # 11/12 write_hit short/data  13 promote  14 demote  15 evidence
-_VEC = 16
+# 16 pointer_eviction short
+_VEC = 17
+
+#: Offset above the ``2 * num_procs`` line bits of a limited-pointer
+#: table's Dir_iB overflow bit, over the directory state (3 bits), the
+#: evidence streak (7) and the last invalidator + 1 (11, 0 for None).
+_OVERFLOW = 21
 
 #: ``(dirty, home_local) -> (short, data)`` replacement charges with
 #: clean-eviction notification on (the group walk requires it; silent
@@ -136,17 +157,17 @@ def _members(lines: int) -> list[tuple[int, int]]:
     return members
 
 
-def _expand(table, home: int, node: list, sym: int):
-    """Grow one DFA edge by running the integer protocol semantics.
+def _step(table, home: int, key: int, sym: int):
+    """One access's full-map protocol semantics on the packed ``key``.
 
     Mirrors ``DirectoryMachine.access`` and its miss/upgrade
     handlers exactly: per-node line fields (0 absent, 1 SHARED, 2
     EXCL-clean, 3 EXCL-dirty) play the caches and the copy set, the
     compiled rows play :class:`DirectoryProtocol`, and the Table 1
     helpers are evaluated here — once per edge, never per access.
+    Returns ``(next_key, delta, invalidation_size)``, ``delta`` a list.
     """
     rows = table.rows
-    key = node[-1]
     proc = sym >> 1
     shift2 = 2 * table.num_procs
     lines = key & ((1 << shift2) - 1)
@@ -243,9 +264,66 @@ def _expand(table, home: int, node: list, sym: int):
         raise KernelUnsupported("an edge fills another processor's line")
     nkey = (new_lines | (nds << shift2) | (nstreak << (shift2 + 3))
             | (nli << (shift2 + 10)))
+    return nkey, d, inv_size
+
+
+def _expand(table, home: int, node: list, sym: int):
+    """Grow one full-map DFA edge from :func:`_step`."""
+    nkey, d, inv_size = _step(table, home, node[-1], sym)
     # The third slot holds the lazily-computed eviction metadata
     # (miss/removal summary) the group walks need; plain walks never
     # touch it (see _edge_meta).
+    edge = node[sym] = [
+        table.node((home, nkey), nkey), table.intern_delta((*d, inv_size)), None,
+    ]
+    return edge
+
+
+def _expand_limited(table, home: int, node: list, sym: int):
+    """Grow one edge of a limited-pointer table: the full-map step on
+    the key without its overflow bit, then what
+    :class:`LimitedPointerDirectory` adds to it.
+
+    A read miss leaving more than ``pointers`` sharers sets the Dir_iB
+    overflow bit, or (Dir_iNB) removes the lowest-numbered other
+    sharer's line, charging ``pointer_eviction`` 2 short messages
+    unless the victim is home.  Write misses and upgrades clear the
+    bit, charging an overflowed block's invalidation as a broadcast to
+    ``num_procs - |{writer, home}|`` distant copies.
+    """
+    pointers, broadcast = table.limit
+    num_procs = table.num_procs
+    shift2 = 2 * num_procs
+    bit = 1 << (shift2 + _OVERFLOW)
+    key = node[-1]
+    over = key & bit
+    proc = sym >> 1
+    nkey, d, inv_size = _step(table, home, key ^ over, sym)
+    if d[1]:
+        members = _members(nkey & ((1 << shift2) - 1))
+        if len(members) > pointers:
+            if broadcast:
+                over = bit
+            else:
+                victim = next(p for p, _ in members if p != proc)
+                nkey &= ~(3 << (2 * victim))
+                d[16] = 0 if victim == home else 2
+                d[5] += d[16]
+    elif d[3] or d[4]:
+        if over:
+            targets = num_procs - (1 if proc == home else 2)
+            if d[3]:
+                members = _members(key & ((1 << shift2) - 1))
+                dirty = len(members) == 1 and members[0][1] == 3
+                short, data = write_miss_counts(proc == home, dirty, targets)
+                d[5] = d[9] = short
+                d[6] = d[10] = data
+            else:
+                short, data = write_hit_counts(proc == home, targets)
+                d[5] = d[11] = short
+                d[6] = d[12] = data
+        over = 0
+    nkey |= over
     edge = node[sym] = [
         table.node((home, nkey), nkey), table.intern_delta((*d, inv_size)), None,
     ]
@@ -302,7 +380,7 @@ def _aggregate(table, out: list[int]):
     return _totals(table, [(table.indices(out), 1)])
 
 
-def _walk(table, home: int, root: list, syms):
+def _walk(table, home: int, root: list, syms, expand=_expand):
     """Replay one block's symbol sequence from ``root``.
 
     ``syms`` is any iterable of symbol ints — the byte string of
@@ -316,10 +394,46 @@ def _walk(table, home: int, root: list, syms):
     for sym in syms:
         edge = node[sym]
         if edge is None:
-            edge = _expand(table, home, node, sym)
+            edge = expand(table, home, node, sym)
         append(edge[1])
         node = edge[0]
     return table.indices(out), node[-1]
+
+
+def _walk_limited(table, home: int, syms, seq_key):
+    """One key's walk on a limited-pointer ``table``, reusing the
+    full-map walk until the pointers overflow.
+
+    A Dir_i directory behaves exactly like a full map until a read miss
+    leaves more than ``i`` sharers, so the key takes its full-map walk
+    (memoised in the base table's ``seq_results``) and, if some access's
+    full-map successor holds more than ``i`` sharers, continues from
+    that access's pre-state on the limited table.  Returns
+    :func:`_walk`'s ``(indices, final_key)``.
+    """
+    base = table.base
+    root_key = table.rows.initial_state << (2 * table.num_procs)
+    root = base.node((home, root_key), root_key)
+    result = base.seq_results.get(seq_key)
+    if result is None:
+        result = _walk(base, home, root, syms)
+        base.cache_seq_result(seq_key, result)
+    low = ((1 << (2 * table.num_procs)) - 1) // 3
+    pointers = table.limit[0]
+    node = root
+    for pos, sym in enumerate(syms):
+        nxt = node[sym][0]
+        if not sym & 1:
+            key = nxt[-1]
+            if ((key | key >> 1) & low).bit_count() > pointers:
+                break
+        node = nxt
+    else:
+        return result
+    key = node[-1]
+    indices, final_key = _walk(table, home, table.node((home, key), key),
+                               syms[pos:], _expand_limited)
+    return table.indices([*result[0][:pos], *indices]), final_key
 
 
 def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool,
@@ -350,8 +464,11 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool,
     memoised result does not hold a byte per access nobody reads.
     """
     rows = table.rows
+    expand = _expand if table.limit is None else _expand_limited
     shift2 = 2 * table.num_procs
     lines_mask = (1 << shift2) - 1
+    # Keeps streak and invalidator, clears state and Dir_iB overflow.
+    state_mask = ~(7 << shift2 | 1 << (shift2 + _OVERFLOW))
     root_key = rows.initial_state << shift2
     node_of = table.node
     uncached = rows.uncached
@@ -367,7 +484,7 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool,
         node = nodes[dense]
         edge = node[sym]
         if edge is None:
-            edge = _expand(table, homes[dense], node, sym)
+            edge = expand(table, homes[dense], node, sym)
         meta = edge[2]
         if meta is None:
             meta = edge[2] = _edge_meta(node[-1], edge[0][-1], sym, lines_mask)
@@ -401,14 +518,15 @@ def _walk_dir_group(table, homes: tuple, stream, ways: int, lru: bool,
                 nvkey = vkey & ~(3 << vshift)
                 if not nvkey & lines_mask:
                     # Last copy gone: the directory notes the block
-                    # uncached (note_uncached), via the compiled row.
+                    # uncached (note_uncached), via the compiled row,
+                    # and drops any overflow (on_exclusive).
                     ds = (nvkey >> shift2) & 7
                     nds, reset, fg = uncached[ds]
                     forget += fg
                     if reset:
                         nvkey = nds << shift2
                     else:
-                        nvkey = nvkey & ~(7 << shift2) | (nds << shift2)
+                        nvkey = nvkey & state_mask | (nds << shift2)
                 nodes[victim] = node_of((homes[victim], nvkey), nvkey)
             rp.append(dense)
         elif lru:
@@ -530,8 +648,10 @@ def try_replay(machine, packed, outcomes: Counter | None = None):
     The envelope (each gate falls back to the generic loop, which is
     always correct): kernels enabled; exact production component types
     (subclassed machines/placements/representations may observe steps
-    the kernel elides); no per-block message tracking; processor ids
-    packable (<= 1024); and a fresh machine.  Finite geometries replay
+    the kernel elides), with a full-map or a limited-pointer
+    (:class:`LimitedPointerDirectory`, broadcast or not) directory; no
+    per-block message tracking; processor ids packable (<= 1024); and
+    a fresh machine.  Finite geometries replay
     eviction-aware: sets that can never evict take the independent
     per-block walks, conflict sets take the grouped recency walks.  The
     genuinely unsupported leftovers, with conflict sets only, fall back
@@ -564,7 +684,11 @@ def try_replay(machine, packed, outcomes: Counter | None = None):
     first_touch = type(placement) is FirstTouchPlacement
     if not first_touch and type(placement) not in _PLACEMENT_TYPES:
         return _fallback("placement")
-    if type(machine.representation) is not FullMapDirectory:
+    representation = machine.representation
+    limit = None
+    if type(representation) is LimitedPointerDirectory:
+        limit = (representation.pointers, representation.broadcast)
+    elif type(representation) is not FullMapDirectory:
         return _fallback("representation")
     protocol = machine.protocol
     if type(protocol) is not DirectoryProtocol:
@@ -607,7 +731,11 @@ def try_replay(machine, packed, outcomes: Counter | None = None):
                 # packed single-bitmask state cannot represent.
                 return _fallback("eviction-silent")
     try:
-        table = registry.dir_table(machine.policy, num_procs)
+        if limit is None:
+            table = registry.dir_table(machine.policy, num_procs)
+        else:
+            table = registry.limited_dir_table(machine.policy, num_procs,
+                                               *limit)
     except KernelUnsupported:
         return _fallback("table-unsupported")
     home_shift = machine._home_shift
@@ -655,9 +783,12 @@ def try_replay(machine, packed, outcomes: Counter | None = None):
             result = seq_results.get(seq_key)
             if result is None:
                 home, seq = key
-                root = table.node((home, root_key), root_key)
                 syms = memoryview(seq).cast("H") if wide else seq
-                result = _walk(table, home, root, syms)
+                if limit is None:
+                    root = table.node((home, root_key), root_key)
+                    result = _walk(table, home, root, syms)
+                else:
+                    result = _walk_limited(table, home, syms, seq_key)
                 table.cache_seq_result(seq_key, result)
             walks.append((result[0], mult))
             final_of[key] = result[1]
@@ -716,11 +847,12 @@ def _final_entry(entries, block: int, final_key: int, shift2: int) -> set[int]:
     lines = final_key & ((1 << shift2) - 1)
     ds = (final_key >> shift2) & 7
     streak = (final_key >> (shift2 + 3)) & 127
-    li = final_key >> (shift2 + 10)
+    li = (final_key >> (shift2 + 10)) & 0x7FF
     copyset = {p for p, _ in _members(lines)}
     entries[block] = DirectoryEntry(
         state=DIR_STATES[ds], copyset=copyset,
         last_invalidator=li - 1 if li else None, streak=streak,
+        overflowed=bool(final_key >> (shift2 + _OVERFLOW)),
     )
     return copyset
 
@@ -746,6 +878,8 @@ def _apply_counters(machine, totals, inv_sizes) -> None:
             stats.by_cause_short[cause] += totals[si]
         if totals[di]:
             stats.by_cause_data[cause] += totals[di]
+    if totals[16]:
+        stats.by_cause_short["pointer_eviction"] += totals[16]
     transitions = machine.protocol.transitions
     for name, i in (("promote", 13), ("demote", 14), ("evidence", 15)):
         if totals[i]:

@@ -116,7 +116,7 @@ class _KernelTable:
 
     __slots__ = ("rows", "num_procs", "field_bits", "nodes", "deltas",
                  "delta_index", "seq_results", "group_results",
-                 "node_limit")
+                 "node_limit", "base", "limit")
 
     def __init__(self, rows, num_procs: int, field_bits: int):
         self.rows = rows
@@ -137,6 +137,11 @@ class _KernelTable:
         #: interleaved stream (see the eviction-aware walks in
         #: kernels.directory / kernels.snooping).
         self.group_results: dict = {}
+        #: A limited-pointer directory table's full-map table, whose
+        #: deltas it interns into, and its ``(pointers, broadcast)``;
+        #: both None on every other table (see :meth:`limited`).
+        self.base = None
+        self.limit = None
         # Wide-processor nodes are proportionally larger (2n+1 slots), so
         # scale the DFA cap down past the classic 128-proc point to keep
         # the worst-case table footprint roughly constant.
@@ -151,8 +156,21 @@ class _KernelTable:
         return len(self.nodes) > self.node_limit
 
     def fresh(self) -> "_KernelTable":
-        """An empty DFA over the same compiled rows."""
+        """An empty DFA over the same compiled rows (a limited table's
+        keeps interning into its base's deltas)."""
+        if self.base is not None:
+            return self.base.limited(self.limit)
         return _KernelTable(self.rows, self.num_procs, self.field_bits)
+
+    def limited(self, limit: tuple[int, bool]) -> "_KernelTable":
+        """An empty DFA for a ``(pointers, broadcast)`` limited-pointer
+        directory over this full-map table: same rows, and interning
+        into the same deltas, so a walk's indices may mix both tables'
+        edges."""
+        table = _KernelTable(self.rows, self.num_procs, self.field_bits)
+        table.deltas, table.delta_index = self.deltas, self.delta_index
+        table.base, table.limit = self, limit
+        return table
 
     def intern_delta(self, delta: tuple) -> int:
         idx = self.delta_index.get(delta)
@@ -232,6 +250,24 @@ def dir_table(policy, num_procs: int) -> _KernelTable:
     if table is None:
         rows = tables.compile_dir_rows(policy)
         table = _dir_tables.setdefault(key, _KernelTable(rows, num_procs, 2))
+    elif table.full:
+        table = _dir_tables[key] = table.fresh()
+    return table
+
+
+def limited_dir_table(policy, num_procs: int, pointers: int,
+                      broadcast: bool) -> _KernelTable:
+    """The directory kernel table for a Dir_iB (``broadcast``) or
+    Dir_iNB limited-pointer directory over :func:`dir_table`'s.
+
+    It is rebuilt whenever its full-map base has been replaced, so the
+    pair always interns into one delta list.
+    """
+    base = dir_table(policy, num_procs)
+    key = tables._policy_key(policy) + (num_procs, pointers, broadcast)
+    table = _dir_tables.get(key)
+    if table is None or table.base is not base:
+        table = _dir_tables[key] = base.limited((pointers, broadcast))
     elif table.full:
         table = _dir_tables[key] = table.fresh()
     return table

@@ -5,6 +5,7 @@ import pytest
 from repro.conformance import bugs
 from repro.conformance.fuzzer import PROFILES, generate_case
 from repro.conformance.oracle import CaseFailure, SCReference, run_case
+from repro.directory.representation import LimitedPointerDirectory
 from repro.kernels.streaming import BusStreamReplay, DirectoryStreamReplay
 
 
@@ -96,6 +97,42 @@ class TestFaultInjection:
         assert failure.stage == "kernel-diff"
         assert failure.engine.startswith("directory-profile[")
         assert "refs_per_proc" in failure.detail
+
+    @pytest.mark.parametrize("fault", ["broadcast-off-by-one",
+                                       "highest-victim"])
+    def test_limited_pointer_fault_caught(self, monkeypatch, fault):
+        # A Dir_iB broadcast count one too high, or a Dir_iNB victim
+        # taken as the highest other sharer instead of the lowest: the
+        # checked replay stays invariant-clean, so only the kernel diff
+        # of the limited-pointer machines can expose it.
+        if fault == "broadcast-off-by-one":
+            targets = LimitedPointerDirectory.invalidation_targets
+
+            def patched(self, entry, writer, home, num_procs):
+                count = targets(self, entry, writer, home, num_procs)
+                return count + 1 if entry.overflowed else count
+
+            monkeypatch.setattr(LimitedPointerDirectory,
+                                "invalidation_targets", patched)
+        else:
+            added = LimitedPointerDirectory.on_sharer_added
+
+            def patched(self, entry, node):
+                victim = added(self, entry, node)
+                return victim if victim is None else max(
+                    entry.copyset - {node})
+
+            monkeypatch.setattr(LimitedPointerDirectory, "on_sharer_added",
+                                patched)
+        failures = [run_case(generate_case(seed, "kernel"))
+                    for seed in range(10)]
+        caught = [failure for failure in failures if failure is not None]
+        assert caught
+        for failure in caught:
+            assert failure.stage == "kernel-diff"
+            assert ",dir" in failure.engine
+            assert failure.engine.endswith("NB]") == (
+                fault == "highest-victim")
 
     def test_snoop_dropped_invalidation_caught(self):
         case = generate_case(0, "migratory")

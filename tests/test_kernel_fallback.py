@@ -15,6 +15,7 @@ import pytest
 
 from repro.common.config import CacheConfig, MachineConfig
 from repro.common.types import Access, Op
+from repro.conformance import oracle
 from repro.directory.policy import BASIC, CONVENTIONAL
 from repro.directory.representation import LimitedPointerDirectory
 from repro.kernels import registry
@@ -46,6 +47,21 @@ def _config(num_procs: int = NUM_PROCS,
         num_procs=num_procs,
         cache=CacheConfig(size_bytes=size_bytes, block_size=16),
     )
+
+
+class _SubclassedPointers(LimitedPointerDirectory):
+    """A representation subclass may observe steps the kernel elides."""
+
+
+def _assert_counted(engine: str, reason: str | None) -> None:
+    """Exactly one replay was counted: an engagement of ``engine`` when
+    ``reason`` is None, else one fallback for ``reason``."""
+    if reason is None:
+        assert registry.engagements == {engine: 1}
+        assert not registry.fallbacks
+    else:
+        assert registry.fallbacks == {(engine, reason): 1}
+        assert not registry.engagements
 
 
 @pytest.fixture(autouse=True)
@@ -163,21 +179,27 @@ class TestReasons:
         assert not registry.fallbacks
 
     @pytest.mark.parametrize("engine, reason, machine_cls, parts", [
-        ("directory", "representation", DirectoryMachine, lambda: {
+        ("directory", None, DirectoryMachine, lambda: {
             "policy": BASIC,
             "representation": LimitedPointerDirectory(4, True)}),
-        ("directory", "representation", DirectoryMachine, lambda: {
+        ("directory", None, DirectoryMachine, lambda: {
             "policy": BASIC,
             "representation": LimitedPointerDirectory(4, False)}),
+        ("directory", "representation", DirectoryMachine, lambda: {
+            "policy": BASIC,
+            "representation": _SubclassedPointers(4, True)}),
         ("bus", "family-unkerneled", BusMachine, lambda: {
             "protocol": HybridUpdateInvalidateProtocol()}),
         ("directory", "family-unkerneled", ClassifierDirectoryMachine,
          lambda: {"policy": CONVENTIONAL}),
-    ], ids=["dir4B", "dir4NB", "hybrid-bus", "classifier"])
+    ], ids=["dir4B", "dir4NB", "dir4B-subclass", "hybrid-bus", "classifier"])
     def test_fallback_replay_matches_the_checked_generic_replay(
             self, engine, reason, machine_cls, parts):
-        # 8 processors read every block, so 4 pointers overflow; the
-        # first 4 each write their own word of it (false sharing).
+        # A ``None`` reason is a replay the kernel engages: Dir4B and
+        # Dir4NB replay on it, and only a subclassed representation
+        # falls back.  8 processors read every block, so 4 pointers
+        # overflow; the first 4 each write their own word of it (false
+        # sharing).
         accesses = []
         for _ in range(4):
             for proc in range(8):
@@ -193,8 +215,7 @@ class TestReasons:
         assert not registry.fallbacks  # the checker never asks a kernel
         fallback = machine_cls(config, **parts())
         fallback.run(trace.pack())
-        assert registry.fallbacks == {(engine, reason): 1}
-        assert not registry.engagements
+        _assert_counted(engine, reason)
         if engine == "bus":
             assert fallback.bus_stats == checked.bus_stats
         else:
@@ -209,14 +230,18 @@ class TestReasons:
             assert labels == {block: checked.protocol.classify(block)
                               for block in checked.protocol.patterns}
             assert set(labels.values()) == {"false-sharing"}
+        if reason is None:
+            assert (fallback.protocol.entries == checked.protocol.entries
+                    and oracle._final_lines(fallback)
+                    == oracle._final_lines(checked))
         # A second replay read only through its counters falls back
-        # once, under the same reason, and counts what the checked
-        # replay counted.
+        # once, under the same reason (or engages again), and counts
+        # what the checked replay counted.
         registry.fallbacks.clear()
+        registry.engagements.clear()
         counted = machine_cls(config, **parts())
         counted.run(trace.pack())
-        assert registry.fallbacks == {(engine, reason): 1}
-        assert not registry.engagements
+        _assert_counted(engine, reason)
         if engine == "bus":
             assert counted.bus_stats == checked.bus_stats
         else:
@@ -283,22 +308,30 @@ class TestProfileFallbacks:
 
     @pytest.mark.parametrize("reason, make", [
         ("family-unkerneled",
-         lambda: ClassifierDirectoryMachine(_config(), CONVENTIONAL)),
+         lambda **kw: ClassifierDirectoryMachine(_config(), CONVENTIONAL,
+                                                 **kw)),
+        (None,
+         lambda **kw: DirectoryMachine(_config(), BASIC,
+                                       representation=LimitedPointerDirectory(
+                                           2, True), **kw)),
         ("representation",
-         lambda: DirectoryMachine(_config(), BASIC,
-                                  representation=LimitedPointerDirectory(
-                                      2, True))),
+         lambda **kw: DirectoryMachine(_config(), BASIC,
+                                       representation=_SubclassedPointers(
+                                           2, True), **kw)),
         ("machine-subclass",
-         lambda: type("Sub", (DirectoryMachine,), {})(_config(), BASIC)),
-    ], ids=["family", "dir2B", "subclass"])
+         lambda **kw: type("Sub", (DirectoryMachine,), {})(_config(), BASIC,
+                                                           **kw)),
+    ], ids=["family", "dir2B", "dir2B-subclass", "subclass"])
     def test_generic_profile_is_a_counted_fallback(self, reason, make):
+        # A ``None`` reason is a profile the kernel engages (Dir2B).
         profile = TimingSimulator(make()).profile(_trace())
-        assert registry.fallbacks == {("directory", reason): 1}
-        assert not registry.engagements
+        _assert_counted("directory", reason)
         registry.fallbacks.clear()
+        registry.engagements.clear()
         make().run(_trace())
-        assert registry.fallbacks == {("directory", reason): 1}
+        _assert_counted("directory", reason)
         assert profile == TimingSimulator(make()).profile(list(_trace()))
+        assert profile == TimingSimulator(make(check=True)).profile(_trace())
 
     def test_disabled_profile_is_counted(self):
         with registry.disabled():

@@ -46,6 +46,7 @@ from repro.directory.policy import (
     AdaptivePolicy,
 )
 from repro.directory.representation import LimitedPointerDirectory
+from repro.interconnect.costs import write_hit_counts, write_miss_counts
 from repro.kernels import pending, registry
 from repro.kernels.tables import (
     KernelUnsupported,
@@ -66,6 +67,7 @@ from repro.snooping.update_protocols import (
 )
 from repro.system.machine import DirectoryMachine
 from repro.system.placement import BestStaticPlacement, FirstTouchPlacement
+from repro.timing.sim import TimingSimulator
 from repro.trace import synth
 from repro.trace.packed import PackedTrace
 
@@ -122,7 +124,7 @@ def _dir_state(machine):
         "transitions": machine.protocol.transitions,
         "entries": {
             block: (ent.state, tuple(sorted(ent.copyset)),
-                    ent.last_invalidator, ent.streak)
+                    ent.last_invalidator, ent.streak, ent.overflowed)
             for block, ent in machine.protocol.entries.items()
         },
         "lines": oracle._final_lines(machine),
@@ -286,8 +288,25 @@ class TestGating:
         assert kernel.placement._homes == legacy.placement._homes
 
     def test_limited_pointer_representation(self):
-        self._assert_directory_fallback(
-            representation=LimitedPointerDirectory(pointers=2))
+        # Dir2B and Dir2NB replay on the kernel (6 processors read the
+        # read-shared objects, so 2 pointers overflow); a subclassed
+        # representation may observe steps the kernel elides.
+        for broadcast in (True, False):
+            registry.engagements.clear()
+            kernel = _run_directory(
+                BASIC, None, disabled=False,
+                representation=LimitedPointerDirectory(2, broadcast))
+            assert registry.engagements["directory"] == 1
+            checked = DirectoryMachine(
+                _config(), BASIC, check=True,
+                representation=LimitedPointerDirectory(2, broadcast))
+            checked.run(_trace())
+            assert _dir_state(kernel) == _dir_state(checked)
+
+        class Watching(LimitedPointerDirectory):
+            pass
+
+        self._assert_directory_fallback(representation=Watching(pointers=2))
 
     def test_block_message_tracking(self):
         machine = self._assert_directory_fallback(track_blocks=True)
@@ -927,3 +946,181 @@ class TestManyDeltas:
         generic = DirectoryMachine(config, BASIC, check=True)
         generic.run(trace)
         assert _dir_state(kernel) == _dir_state(generic)
+
+
+def _reads(procs, block: int) -> list[Access]:
+    return [Access(p, Op.READ, 16 * block) for p in procs]
+
+
+def _limited_replay(accesses, pointers: int, broadcast: bool,
+                    cache: CacheConfig | None = None, num_procs: int = 4):
+    """Replay ``accesses`` under a limited-pointer directory on the
+    kernel, which must engage and match the checked generic loop;
+    returns the (decoded) kernel machine."""
+    config = MachineConfig(
+        num_procs=num_procs,
+        cache=cache or CacheConfig(size_bytes=None, block_size=16))
+    trace = PackedTrace.from_accesses(accesses)
+
+    def make(**kwargs):
+        return DirectoryMachine(
+            config, BASIC,
+            representation=LimitedPointerDirectory(pointers, broadcast),
+            **kwargs)
+
+    registry.engagements.clear()
+    registry.fallbacks.clear()
+    kernel = make()
+    kernel.run(trace)
+    assert registry.engagements == {"directory": 1}
+    assert not registry.fallbacks
+    checked = make(check=True)
+    checked.run(trace)
+    assert _dir_state(kernel) == _dir_state(checked)
+    return kernel
+
+
+def _limited_tables():
+    """``(base, limited)``: the one full-map table and the one limited
+    table in the registry."""
+    (base,) = [t for t in registry._dir_tables.values() if t.limit is None]
+    (limited,) = [t for t in registry._dir_tables.values() if t.limit]
+    return base, limited
+
+
+class TestLimitedPointers:
+    """Dir_iB and Dir_iNB replays on the kernel, each against the
+    checked generic loop.  Blocks 0-255 are homed at processor 0 and
+    blocks 256-511 at processor 1 (4 KB round-robin pages)."""
+
+    def test_dir1nb_victim_at_home_costs_nothing(self):
+        # Processor 1's read miss overflows one pointer, so the lowest
+        # other sharer, processor 0, loses its line: free on block 0,
+        # whose home it is, 2 short messages on block 256.
+        kernel = _limited_replay(_reads((0, 1), 0) + _reads((0, 1), 256),
+                                 1, False)
+        assert kernel.stats.by_cause_short["pointer_eviction"] == 2
+        entries = kernel.protocol.entries
+        assert entries[0].copyset == entries[256].copyset == {1}
+        assert kernel.caches[0].lookup(0) is None
+
+    def test_no_pointer_eviction_at_home_adds_no_cause(self):
+        kernel = _limited_replay(_reads((0, 1), 0), 1, False)
+        assert "pointer_eviction" not in kernel.stats.by_cause_short
+        assert kernel.protocol.entries[0].copyset == {1}
+
+    def test_broadcast_overflow_survives_eviction_until_the_last_copy(self):
+        # One line per cache: every fill evicts.  Block 0 overflows,
+        # shrinks to processor 2's copy by eviction, and its upgrade
+        # still broadcasts.  Block 2 overflows, then loses both copies,
+        # which clears the bit, so processor 3's write miss is charged
+        # for no copies.  Block 3 ends overflowed.
+        accesses = (_reads((1, 2), 0) + _reads((1,), 1)
+                    + [Access(2, Op.WRITE, 0)]
+                    + _reads((1, 2), 2) + _reads((1, 2), 3)
+                    + [Access(3, Op.WRITE, 32)])
+        kernel = _limited_replay(
+            accesses, 1, True,
+            CacheConfig(size_bytes=16, block_size=16, associativity=1))
+        cache_stats = kernel.cache_stats
+        assert cache_stats.evictions_clean + cache_stats.evictions_dirty >= 5
+        short = kernel.stats.by_cause_short
+        # num_procs - |{writer, home}| = 2 distant copies
+        assert short["write_hit"] == write_hit_counts(False, 2)[0]
+        assert short["write_miss"] == write_miss_counts(False, False, 0)[0]
+        entries = kernel.protocol.entries
+        assert entries[3].overflowed and entries[3].copyset == {1, 2}
+        assert not entries[2].overflowed and entries[2].copyset == {3}
+        assert not entries[0].overflowed and not entries[0].copyset
+
+    @pytest.mark.parametrize("broadcast", [True, False], ids=["B", "NB"])
+    def test_decoded_overflow_bit(self, broadcast):
+        accesses = (_reads(range(4), 0) + _reads((0, 1), 1)
+                    + _reads(range(4), 2) + [Access(1, Op.WRITE, 32)])
+        kernel = _limited_replay(accesses, 2, broadcast)
+        assert _is_pending(kernel) is False  # _limited_replay decoded it
+        overflowed = {block: ent.overflowed
+                      for block, ent in kernel.protocol.entries.items()}
+        assert overflowed == {0: broadcast, 1: False, 2: False}
+
+    def test_diverging_key_beside_a_key_that_never_diverges(self):
+        # Block 0's third read overflows two pointers mid-walk; block
+        # 1's sequence never holds more than two sharers.
+        diverging = [(1, Op.READ), (2, Op.READ), (3, Op.READ),
+                     (1, Op.WRITE), (2, Op.READ)]
+        plain = [(1, Op.READ), (2, Op.READ), (1, Op.WRITE), (2, Op.READ)]
+        accesses = [Access(p, op, 0) for p, op in diverging]
+        accesses += [Access(p, op, 16) for p, op in plain]
+        registry.clear()
+        kernel = _limited_replay(accesses, 2, False)
+        assert kernel.stats.by_cause_short["pointer_eviction"] == 2
+        base, limited = _limited_tables()
+
+        def key(seq):
+            return (0, bytes(2 * p + (op is Op.WRITE) for p, op in seq))
+
+        assert limited.seq_results[key(plain)] is base.seq_results[key(plain)]
+        walked = limited.seq_results[key(diverging)]
+        reused = base.seq_results[key(diverging)]
+        assert list(walked[0][:2]) == list(reused[0][:2])
+        assert walked != reused
+        # The limited table grew nodes only from the divergence point.
+        assert len(limited.nodes) < len(base.nodes)
+
+    def test_timing_profile_counts_pointer_evictions(self):
+        # Processor 1's blocks: every second reader evicts a non-home
+        # copy, so each such read miss carries 2 more messages.
+        accesses = []
+        for block in range(256, 260):
+            accesses += _reads((2, 3, 0), block) + [Access(2, Op.WRITE,
+                                                           16 * block)]
+        trace = PackedTrace.from_accesses(accesses)
+        config = MachineConfig(num_procs=4,
+                               cache=CacheConfig(size_bytes=None,
+                                                 block_size=16))
+
+        def make(**kwargs):
+            return DirectoryMachine(
+                config, BASIC,
+                representation=LimitedPointerDirectory(1, False), **kwargs)
+
+        registry.engagements.clear()
+        profile = TimingSimulator(make()).profile(trace)
+        assert registry.engagements == {"directory": 1}
+        assert profile == TimingSimulator(make(check=True)).profile(trace)
+        full_map = TimingSimulator(DirectoryMachine(config, BASIC)).profile(
+            trace)
+        assert profile.read_miss_msgs != full_map.read_miss_msgs
+        assert sum(profile.read_miss_msgs.values()) == sum(
+            full_map.read_miss_msgs.values())
+        limited = make()
+        limited.run(trace)
+        assert limited.stats.by_cause_short["pointer_eviction"] > 0
+
+    def test_replay_after_the_base_table_was_replaced(self, monkeypatch):
+        # Ten nodes fit the small limited replay but not the full-map
+        # replay of the module trace, which fills the shared base.
+        monkeypatch.setattr(registry, "NODE_LIMIT", 10)
+        registry.clear()
+        accesses = _reads(range(4), 0) + [Access(4, Op.WRITE, 0)]
+        accesses += _reads((1,), 1)
+
+        def replay():
+            return _limited_replay(accesses, 2, True,
+                                   num_procs=NUM_PROCS)
+
+        replay()
+        first_base, first = _limited_tables()
+        registry.engagements.clear()
+        DirectoryMachine(_config(), BASIC).run(_trace())
+        assert registry.fallbacks == {("directory", "walk-abort"): 1}
+        assert first_base.full
+        replay()
+        base, limited = _limited_tables()
+        assert base is not first_base and limited is not first
+        assert limited.base is base
+        assert limited.deltas is base.deltas
+        assert limited.delta_index is base.delta_index
+        # A full limited table is replaced by one over the same base.
+        refilled = limited.fresh()
+        assert refilled.base is base and refilled.deltas is base.deltas
